@@ -289,7 +289,6 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
     d.mix_size(mc.loop.max_iters);
     d.mix_double(mc.loop.epsilon_mw);
     d.mix_double(mc.loop.price_tol);
-    d.mix_double(mc.loop.sweep_step_mw);
     d.mix_double(mc.loop.smoothing_alpha);
     d.mix_double(mc.loop.trust_region_mw);
     d.mix_double(mc.loop.hysteresis_frac);

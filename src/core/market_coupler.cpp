@@ -258,8 +258,8 @@ MarketCoupler::HourPlan MarketCoupler::plan_hour(
   try {
     res = iterate(in, planning_d, rung);
   } catch (const std::exception&) {
-    // A coupled solve blew up (OPF infeasible in a sweep, allocation beyond
-    // a site's physics): the hour is troubled, the fallback serves it.
+    // A coupled solve blew up (OPF infeasible on a site's range, allocation
+    // beyond a site's physics): the hour is troubled, the fallback serves it.
     res = IterationResult{};
     res.diverged = true;
   }

@@ -152,7 +152,7 @@ class MarketCoupler {
   /// never needs rebuilding.
   std::vector<market::PricingPolicy> coupled_policies_;
   BillCapper coupled_capper_;
-  std::vector<double> sweep_cap_mw_;  ///< per-site own-draw sweep range
+  std::vector<double> sweep_cap_mw_;  ///< per-site own-draw curve range
 
   market::OscillationDetector detector_;
   market::DampingLadder ladder_;

@@ -259,9 +259,12 @@ class Simulator {
     const volatile std::sig_atomic_t* stop_flag = nullptr;
   };
 
-  /// `on_hour` (optional) fires after each hour's checkpoint commits —
-  /// the hook for streaming per-hour CSV output that stays hour-aligned
-  /// with the checkpoint.
+  /// `on_hour` (optional) fires once per hour, after the hour is computed
+  /// and just BEFORE its checkpoint commits — the hook for streaming
+  /// per-hour CSV output. In that order a kill between the two leaves at
+  /// most one extra row for an uncommitted hour, which the resume's
+  /// truncate-to-checkpoint pass recomputes and rewrites identically; the
+  /// opposite order could leave the stream one committed row short.
   ResumableOutcome run_resumable(
       Strategy strategy, const std::string& checkpoint_path, bool resume,
       const std::function<void(const HourRecord&)>& on_hour = {}) const;

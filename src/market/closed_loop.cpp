@@ -5,12 +5,25 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "market/pjm5.hpp"
 
 namespace billcap::market {
 
 namespace {
+
+/// Safety cap on DC-OPF solves per site curve. The tangent search needs at
+/// most 2k + 1 solves for k breakpoints, so only a grid with dozens of
+/// binding events along one site's draw (or a solver returning non-convex
+/// costs) reaches it.
+constexpr std::size_t kMaxOpfSolvesPerSite = 128;
+/// End-point LMPs closer than this ($/MWh) are the same slope.
+constexpr double kSameLmp = 1e-9;
+/// C(x) within this relative distance of the tangents lies on them.
+constexpr double kOnTangentRel = 1e-9;
+/// Breakpoints closer than this (MW) bound a zero-width piece.
+constexpr double kSameDrawMw = 1e-9;
 
 /// L-inf distance between two iterates; mismatched sizes are maximally far
 /// (never part of a cycle).
@@ -113,15 +126,10 @@ Grid CoupledMarket::faulted_grid(const CoupledHourFaults* faults) const {
   return out;
 }
 
-DcOpfResult CoupledMarket::solve_at(std::span<const double> site_power_mw,
-                                    std::span<const double> background_mw,
-                                    double feedback_gain,
-                                    const CoupledHourFaults* faults) const {
-  if (site_power_mw.size() != site_buses_.size() ||
-      background_mw.size() != site_buses_.size())
-    throw std::invalid_argument("CoupledMarket::solve_at: size mismatch");
-  const Grid working = faulted_grid(faults);
-  std::vector<double> loads(static_cast<std::size_t>(working.num_buses()), 0.0);
+std::vector<double> CoupledMarket::nodal_loads(
+    std::span<const double> site_power_mw, std::span<const double> background_mw,
+    double feedback_gain, const CoupledHourFaults* faults) const {
+  std::vector<double> loads(static_cast<std::size_t>(grid_.num_buses()), 0.0);
   for (std::size_t i = 0; i < site_buses_.size(); ++i) {
     const std::size_t bus = static_cast<std::size_t>(site_buses_[i]);
     double mult = 1.0;
@@ -129,7 +137,19 @@ DcOpfResult CoupledMarket::solve_at(std::span<const double> site_power_mw,
       mult = faults->bus_demand_multiplier[bus];
     loads[bus] += background_mw[i] * mult + feedback_gain * site_power_mw[i];
   }
-  return solve_dcopf(working, loads);
+  return loads;
+}
+
+DcOpfResult CoupledMarket::solve_at(std::span<const double> site_power_mw,
+                                    std::span<const double> background_mw,
+                                    double feedback_gain,
+                                    const CoupledHourFaults* faults) const {
+  if (site_power_mw.size() != site_buses_.size() ||
+      background_mw.size() != site_buses_.size())
+    throw std::invalid_argument("CoupledMarket::solve_at: size mismatch");
+  return solve_dcopf(faulted_grid(faults),
+                     nodal_loads(site_power_mw, background_mw, feedback_gain,
+                                 faults));
 }
 
 std::vector<PricingPolicy> CoupledMarket::derive_local_policies(
@@ -141,35 +161,84 @@ std::vector<PricingPolicy> CoupledMarket::derive_local_policies(
       billing_base_mw.size() != n || sweep_cap_mw.size() != n)
     throw std::invalid_argument(
         "CoupledMarket::derive_local_policies: size mismatch");
-  const double step = std::max(0.1, options.sweep_step_mw);
+  const double gain = options.feedback_gain;
+  const Grid working = faulted_grid(faults);
+  std::vector<double> loads =
+      nodal_loads(site_power_mw, background_mw, gain, faults);
+
+  // One sample of C(p), the OPF cost as a function of site i's own draw p
+  // with every other site pinned at the operating point. C is convex and
+  // piecewise linear; its slope is gain * lmp[bus] (any returned dual is a
+  // subgradient), and its kinks are where a generator or line limit starts
+  // to bind — the breakpoints of the site's step curve.
+  struct Sample {
+    double p;
+    double cost;
+    double lmp;
+  };
 
   std::vector<PricingPolicy> policies;
   policies.reserve(n);
-  std::vector<double> point(site_power_mw.begin(), site_power_mw.end());
   for (std::size_t i = 0; i < n; ++i) {
-    const double kept = point[i];
-    std::vector<double> thresholds;
-    std::vector<double> prices;
-    // Own-draw sweep with the other sites pinned at the operating point:
-    // the local price response the controller's next decision sees.
-    for (double p = 0.0; p <= sweep_cap_mw[i] + 1e-9; p += step) {
-      point[i] = p;
-      const DcOpfResult opf =
-          solve_at(point, background_mw, options.feedback_gain, faults);
+    const std::size_t bus = static_cast<std::size_t>(site_buses_[i]);
+    const double pinned_load = loads[bus];
+    std::size_t solves = 0;
+    const auto sample = [&](double p) {
+      if (++solves > kMaxOpfSolvesPerSite)
+        throw std::runtime_error(
+            "CoupledMarket: breakpoint search for site " + std::to_string(i) +
+            " exceeded " + std::to_string(kMaxOpfSolvesPerSite) +
+            " OPF solves");
+      loads[bus] = pinned_load + gain * (p - site_power_mw[i]);
+      const DcOpfResult opf = solve_dcopf(working, loads);
       if (!opf.ok())
         throw std::runtime_error(
-            "CoupledMarket: OPF infeasible sweeping site " + std::to_string(i) +
+            "CoupledMarket: OPF infeasible deriving site " + std::to_string(i) +
             " at draw " + std::to_string(p) + " MW");
-      const double lmp = opf.lmp[static_cast<std::size_t>(site_buses_[i])];
-      if (thresholds.empty()) {
-        thresholds.push_back(0.0);
-        prices.push_back(lmp);
-      } else if (std::abs(lmp - prices.back()) > options.price_tol) {
-        thresholds.push_back(billing_base_mw[i] + p);
-        prices.push_back(lmp);
+      return Sample{p, opf.total_cost, opf.lmp[bus]};
+    };
+
+    const Sample lo = sample(0.0);
+    const Sample hi = sweep_cap_mw[i] > 0.0 ? sample(sweep_cap_mw[i]) : lo;
+    // Pieces of C over [0, cap] as (start draw, LMP), in draw order.
+    std::vector<std::pair<double, double>> pieces = {{0.0, lo.lmp}};
+    std::vector<std::pair<Sample, Sample>> open = {{lo, hi}};
+    while (!open.empty()) {
+      const auto [a, b] = open.back();
+      open.pop_back();
+      // Equal end slopes: convexity makes C linear on [a, b].
+      if (gain == 0.0 || std::abs(b.lmp - a.lmp) <= kSameLmp) continue;
+      // Intersect the end tangents. Both lie on or below C, so C(x) on the
+      // tangent means C is exactly their maximum here: one kink, at x.
+      // Otherwise x's own tangent is a new piece and both halves recurse.
+      const double sa = gain * a.lmp;
+      const double sb = gain * b.lmp;
+      const double x = std::clamp(
+          (b.cost - a.cost + sa * a.p - sb * b.p) / (sa - sb), a.p, b.p);
+      const Sample mid = sample(x);
+      const double tangent = a.cost + sa * (x - a.p);
+      if (mid.cost - tangent <= kOnTangentRel * (1.0 + std::abs(tangent))) {
+        // A zero-width piece (the solver's dual at a kink can be any
+        // subgradient) is overwritten by the piece that follows it.
+        if (x - pieces.back().first <= kSameDrawMw)
+          pieces.back().second = b.lmp;
+        else
+          pieces.emplace_back(x, b.lmp);
+        continue;
+      }
+      open.push_back({mid, b});
+      open.push_back({a, mid});  // left half first: pieces stay in order
+    }
+    loads[bus] = pinned_load;
+
+    std::vector<double> thresholds = {0.0};
+    std::vector<double> prices = {pieces.front().second};
+    for (std::size_t k = 1; k < pieces.size(); ++k) {
+      if (std::abs(pieces[k].second - prices.back()) > options.price_tol) {
+        thresholds.push_back(billing_base_mw[i] + pieces[k].first);
+        prices.push_back(pieces[k].second);
       }
     }
-    point[i] = kept;
     policies.emplace_back(std::move(thresholds), std::move(prices));
   }
   return policies;

@@ -29,8 +29,6 @@ struct ClosedLoopOptions {
   double epsilon_mw = 0.25;
   /// LMP step-collapse tolerance when re-deriving local curves ($/MWh).
   double price_tol = 0.05;
-  /// Own-draw sweep granularity of the local curve re-derivation (MW).
-  double sweep_step_mw = 2.0;
   /// Rung >= 1: blend freshly derived curve prices toward the previous
   /// iterate's curve (new = alpha * fresh + (1 - alpha) * previous).
   double smoothing_alpha = 0.5;
@@ -118,9 +116,9 @@ struct CoupledHourFaults {
 
 /// The physical side of the closed loop: a grid whose load buses host the
 /// data centers. Solves the hour's DC-OPF with the fleet's draw added to
-/// nodal demand and re-derives each site's *local* step curve by sweeping
-/// that site's own draw with every other site held fixed — the price
-/// response the controller re-decides against.
+/// nodal demand and re-derives each site's *local* step curve from the exact
+/// LMP breakpoints along that site's own draw with every other site held
+/// fixed — the price response the controller re-decides against.
 class CoupledMarket {
  public:
   /// `site_buses[i]` is the grid bus of site i.
@@ -142,16 +140,20 @@ class CoupledMarket {
                        double feedback_gain,
                        const CoupledHourFaults* faults) const;
 
-  /// Re-derives one step curve per site around the operating point:
-  /// site i's own draw is swept over [0, sweep_cap_mw[i]] while the other
-  /// sites stay at `site_power_mw`, and the LMP-vs-draw series collapses
-  /// into a PricingPolicy exactly as the static derivation does. The
-  /// returned thresholds are expressed over the site's *total* locational
-  /// consumption p + billing_base_mw[i], so PricingPolicy::cost_for keeps
-  /// its contract when the capper passes that same demand.
+  /// Re-derives one step curve per site around the operating point: along
+  /// site i's own draw p in [0, sweep_cap_mw[i]], with the other sites at
+  /// `site_power_mw`, the OPF cost C(p) is convex and piecewise linear with
+  /// slope feedback_gain * LMP. A tangent-intersection search finds its
+  /// kinks exactly (at most 2k + 1 OPF solves for k kinks), and the pieces'
+  /// LMPs collapse into a PricingPolicy under `options.price_tol`, as the
+  /// static derivation does. The returned thresholds are expressed over the
+  /// site's *total* locational consumption p + billing_base_mw[i], so
+  /// PricingPolicy::cost_for keeps its contract when the capper passes that
+  /// same demand.
   ///
-  /// Throws std::runtime_error if the OPF is infeasible anywhere in a
-  /// sweep (load shed beyond the grid's capability).
+  /// Throws std::runtime_error if the OPF is infeasible anywhere on a
+  /// site's range (load shed beyond the grid's capability) or a site's
+  /// search exceeds its solve cap.
   std::vector<PricingPolicy> derive_local_policies(
       std::span<const double> site_power_mw,
       std::span<const double> background_mw,
@@ -163,6 +165,13 @@ class CoupledMarket {
   /// Grid with the hour's line outages removed and congestion derates
   /// applied; returns the nominal grid when `faults` is null/nominal.
   Grid faulted_grid(const CoupledHourFaults* faults) const;
+
+  /// Per-bus load at the operating point: background (scaled by any
+  /// BackgroundDemandShock) + feedback_gain * site draw.
+  std::vector<double> nodal_loads(std::span<const double> site_power_mw,
+                                  std::span<const double> background_mw,
+                                  double feedback_gain,
+                                  const CoupledHourFaults* faults) const;
 
   Grid grid_;
   std::vector<int> site_buses_;

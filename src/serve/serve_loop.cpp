@@ -472,7 +472,7 @@ ServeOutcome ServeLoop::run(
   // Re-derives the hour's coupled planning curves from the persisted
   // anchor. Replacing active_policies' CONTENTS re-points the engine's
   // capper (it holds a reference to the vector, not a copy). A derivation
-  // the grid cannot support (infeasible sweep under the hour's faults)
+  // the grid cannot support (OPF infeasible under the hour's faults)
   // falls back to the static curves until the next boundary — and a resume
   // hits the same infeasibility, so the fallback is deterministic too.
   const auto refresh_coupled = [&](std::size_t for_hour) {
@@ -582,7 +582,7 @@ ServeOutcome ServeLoop::run(
     // ---- closed-loop coupling: hour-boundary curve refresh --------------
     // Anchored at the plan the daemon carries into the hour; re-plans later
     // in the hour re-decide against these curves but do not re-derive them
-    // (one grid sweep per hour, matching the batch coupler's cadence).
+    // (one curve derivation per hour, matching the batch coupler's cadence).
     if (coupled && tick % T == 0) {
       st.coupled_anchor =
           st.plan.valid ? st.plan.lambda : std::vector<double>(n, 0.0);
