@@ -22,8 +22,8 @@
 // repo root by tools/ci.sh). Flags: --months N, --hours H, --threads T,
 // --shard months|chunks (which axis the threaded pass fans out: whole
 // scenario-months as independent pool tasks, or each month's 20 region
-// chunks via the FleetController's own dispatch), --min-speedup X, and
-// --smoke for the small ctest soak configuration.
+// chunks via the FleetController's own dispatch), --min-speedup X,
+// --smoke for the small ctest soak configuration, and --help.
 
 #include <algorithm>
 #include <array>
@@ -35,6 +35,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -202,15 +203,33 @@ PassResult run_pass(const Fleet& fleet, std::size_t months, std::size_t hours,
   return result;
 }
 
+constexpr std::string_view kFlags[] = {"months",      "hours", "threads",
+                                       "min-speedup", "shard", "smoke"};
+
+void print_usage() {
+  std::printf(
+      "usage: fleet_sweep [--months N] [--hours H] [--threads T]\n"
+      "                   [--shard months|chunks] [--min-speedup X] "
+      "[--smoke]\n\n"
+      "Runs N scenario-months (default 1000) of the 100-site fleet serially\n"
+      "and threaded, checks zero aborts and equal digests, and writes\n"
+      "BENCH_fleet.json. --smoke is the small soak configuration.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
+  if (args.has("help")) {
+    print_usage();
+    return core::kExitSuccess;
+  }
   std::size_t months = 1000;
   std::size_t hours = 24;
   std::size_t threads = std::max(2u, std::thread::hardware_concurrency());
   double min_speedup = 0.0;  // 0 = report only, don't gate
   try {
+    args.require_known({kFlags});
     if (args.get_bool("smoke")) {
       months = 6;
       hours = 8;

@@ -1,11 +1,12 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/checkpoint_keys.hpp"
 #include "util/journal.hpp"
@@ -34,84 +35,144 @@ struct Digest {
   void mix_bool(bool value) noexcept { mix_u64(value ? 1 : 0); }
 };
 
-// ---- token stream for HourRecord ------------------------------------------
+// ---- encoding -------------------------------------------------------------
 
-void put_u(std::ostringstream& os, std::uint64_t v) { os << v << ' '; }
-void put_d(std::ostringstream& os, double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  os << buf << ' ';
+using util::journal_text::append_double_bits;
+using util::journal_text::append_u64;
+using util::journal_text::kDoubleBitsChars;
+using util::journal_text::kMaxU64Chars;
+using util::journal_text::write_double_bits;
+using util::journal_text::write_u64;
+
+void put_key(std::string& out, std::string_view key) {
+  out += key;
+  out += '=';
+}
+void put_u64(std::string& out, std::string_view key, std::uint64_t v) {
+  put_key(out, key);
+  append_u64(out, v);
+  out += '\n';
+}
+void put_double(std::string& out, std::string_view key, double v) {
+  put_key(out, key);
+  append_double_bits(out, v);
+  out += '\n';
+}
+/// Space-joined decimals, no trailing space.
+template <class Range>
+void put_list(std::string& out, std::string_view key, const Range& values) {
+  put_key(out, key);
+  bool first = true;
+  for (const auto v : values) {
+    if (!first) out += ' ';
+    first = false;
+    append_u64(out, static_cast<std::uint64_t>(v));
+  }
+  out += '\n';
 }
 
-std::uint64_t take_u(std::istringstream& is) {
+/// Hour-record tokens, each followed by one space, written through a
+/// cursor into space append_hour_line has reserved: this is the loop a
+/// one-shot save runs once per hour.
+char* tok_u(char* p, std::uint64_t v) noexcept {
+  p = write_u64(p, v);
+  *p++ = ' ';
+  return p;
+}
+char* tok_d(char* p, double v) noexcept {
+  p = write_double_bits(p, v);
+  *p++ = ' ';
+  return p;
+}
+
+// The fixed tok_u / tok_d calls in append_hour_line, which sizes its
+// buffer from them: keep them in step with the record layout.
+constexpr std::size_t kHourIntTokens = 17;
+constexpr std::size_t kHourDoubleTokens = 9;
+
+void append_hour_line(std::string& out, std::size_t index,
+                      const HourRecord& rec) {
+  const std::string key = keys::hour(index);
+  const std::size_t doubles = kHourDoubleTokens + rec.site_lambda.size() +
+                              rec.site_power_mw.size();
+  const std::size_t begin = out.size();
+  out.resize(begin + key.size() + 2 + kHourIntTokens * (kMaxU64Chars + 1) +
+             doubles * (kDoubleBitsChars + 1));
+  char* p = out.data() + begin;
+  p = std::copy(key.begin(), key.end(), p);
+  *p++ = '=';
+  p = tok_u(p, rec.hour);
+  p = tok_u(p, static_cast<std::uint64_t>(rec.mode));
+  p = tok_u(p, static_cast<std::uint64_t>(rec.failure));
+  p = tok_u(p, rec.degraded ? 1 : 0);
+  p = tok_u(p, rec.used_incumbent ? 1 : 0);
+  p = tok_u(p, rec.used_heuristic ? 1 : 0);
+  p = tok_u(p, rec.stale_prices ? 1 : 0);
+  p = tok_u(p, static_cast<std::uint64_t>(rec.feed_attempts));
+  p = tok_u(p, rec.feed_recovered ? 1 : 0);
+  p = tok_u(p, rec.sites_down);
+  p = tok_u(p, static_cast<std::uint64_t>(rec.nodes));
+  p = tok_d(p, rec.arrivals);
+  p = tok_d(p, rec.premium_arrivals);
+  p = tok_d(p, rec.ordinary_arrivals);
+  p = tok_d(p, rec.served_premium);
+  p = tok_d(p, rec.served_ordinary);
+  p = tok_d(p, rec.hourly_budget);
+  p = tok_d(p, rec.cost);
+  p = tok_d(p, rec.predicted_cost);
+  p = tok_d(p, rec.solve_ms);
+  p = tok_u(p, rec.site_lambda.size());
+  for (double v : rec.site_lambda) p = tok_d(p, v);
+  p = tok_u(p, rec.site_power_mw.size());
+  for (double v : rec.site_power_mw) p = tok_d(p, v);
+  // Coupler fields: appended AFTER every v1 field so pre-coupler records
+  // decode with the (zero) defaults — extend only at the end.
+  p = tok_u(p, rec.coupler_iterations);
+  p = tok_u(p, rec.coupler_converged ? 1 : 0);
+  p = tok_u(p, rec.coupler_fallback ? 1 : 0);
+  p = tok_u(p, rec.coupler_rung);
+  *p++ = '\n';
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+// ---- decoding -------------------------------------------------------------
+
+using util::journal_text::Tokens;
+
+/// Parses the whole token in `base`; false for an empty or malformed token.
+bool parse_u64(std::string_view token, std::uint64_t& out, int base = 10) {
+  const auto res =
+      std::from_chars(token.data(), token.data() + token.size(), out, base);
+  return !token.empty() && res.ec == std::errc{} &&
+         res.ptr == token.data() + token.size();
+}
+
+std::uint64_t take_u(Tokens& in) {
   std::uint64_t v = 0;
-  if (!(is >> v)) throw std::runtime_error("checkpoint: truncated hour record");
+  if (!parse_u64(in.next(), v))
+    throw std::runtime_error("checkpoint: truncated hour record");
   return v;
 }
 /// EOF-tolerant read for fields appended after the v1 layout: a record from
 /// an older writer simply runs out of tokens, which must read as the field's
 /// default — only a *malformed* token still throws.
-bool take_u_opt(std::istringstream& is, std::uint64_t& out) {
-  std::string token;
-  if (!(is >> token)) return false;  // clean EOF: pre-extension record
-  std::uint64_t v = 0;
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), v, 10);
-  if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
+bool take_u_opt(Tokens& in, std::uint64_t& out) {
+  const std::string_view token = in.next();
+  if (token.empty()) return false;  // clean EOF: pre-extension record
+  if (!parse_u64(token, out))
     throw std::runtime_error("checkpoint: malformed hour record");
-  out = v;
   return true;
 }
-double take_d(std::istringstream& is) {
-  std::string token;
-  if (!(is >> token) || token.size() != 16)
-    throw std::runtime_error("checkpoint: malformed hour record");
+double take_d(std::string_view token) {
   std::uint64_t bits = 0;
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), bits, 16);
-  if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
+  if (token.size() != 16 || !parse_u64(token, bits, 16))
     throw std::runtime_error("checkpoint: malformed hour record");
   return std::bit_cast<double>(bits);
 }
+double take_d(Tokens& in) { return take_d(in.next()); }
 
-std::string encode_hour(const HourRecord& rec) {
-  std::ostringstream os;
-  put_u(os, rec.hour);
-  put_u(os, static_cast<std::uint64_t>(rec.mode));
-  put_u(os, static_cast<std::uint64_t>(rec.failure));
-  put_u(os, rec.degraded ? 1 : 0);
-  put_u(os, rec.used_incumbent ? 1 : 0);
-  put_u(os, rec.used_heuristic ? 1 : 0);
-  put_u(os, rec.stale_prices ? 1 : 0);
-  put_u(os, static_cast<std::uint64_t>(rec.feed_attempts));
-  put_u(os, rec.feed_recovered ? 1 : 0);
-  put_u(os, rec.sites_down);
-  put_u(os, static_cast<std::uint64_t>(rec.nodes));
-  put_d(os, rec.arrivals);
-  put_d(os, rec.premium_arrivals);
-  put_d(os, rec.ordinary_arrivals);
-  put_d(os, rec.served_premium);
-  put_d(os, rec.served_ordinary);
-  put_d(os, rec.hourly_budget);
-  put_d(os, rec.cost);
-  put_d(os, rec.predicted_cost);
-  put_d(os, rec.solve_ms);
-  put_u(os, rec.site_lambda.size());
-  for (double v : rec.site_lambda) put_d(os, v);
-  put_u(os, rec.site_power_mw.size());
-  for (double v : rec.site_power_mw) put_d(os, v);
-  // Coupler fields: appended AFTER every v1 field so pre-coupler records
-  // decode with the (zero) defaults — extend only at the end.
-  put_u(os, rec.coupler_iterations);
-  put_u(os, rec.coupler_converged ? 1 : 0);
-  put_u(os, rec.coupler_fallback ? 1 : 0);
-  put_u(os, rec.coupler_rung);
-  return os.str();
-}
-
-HourRecord decode_hour(const std::string& text) {
-  std::istringstream is(text);
+HourRecord decode_hour(std::string_view text) {
+  Tokens is(text);
   HourRecord rec;
   rec.hour = static_cast<std::size_t>(take_u(is));
   rec.mode = static_cast<CappingOutcome::Mode>(take_u(is));
@@ -149,6 +210,20 @@ HourRecord decode_hour(const std::string& text) {
     rec.coupler_rung = static_cast<std::size_t>(take_u(is));
   }
   return rec;
+}
+
+/// Reads a decimal tally into `tally`. Tolerant of shorter tallies: a
+/// checkpoint written before an entry was added carries fewer values, and
+/// the entries it predates necessarily counted zero (`tally` is
+/// zero-initialized).
+template <std::size_t N>
+void read_tally(std::string_view text, std::array<std::size_t, N>& tally) {
+  Tokens in(text);
+  for (std::size_t& slot : tally) {
+    std::uint64_t v = 0;
+    if (!parse_u64(in.next(), v)) break;
+    slot = static_cast<std::size_t>(v);
+  }
 }
 
 }  // namespace
@@ -308,87 +383,108 @@ bool checkpoint_exists(const std::string& path) noexcept {
   return probe.good();
 }
 
-void save_checkpoint(const std::string& path, const CheckpointState& state) {
-  util::Journal journal(keys::kCheckpointMagic, keys::kCheckpointVersion);
-  journal.set_u64(keys::kConfigDigest, state.config_digest);
-  journal.set_u64(keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
-  journal.set_size(keys::kNextHour, state.next_hour);
-  journal.set_double_bits(keys::kSpent, state.spent);
-  journal.set_size(keys::kCrashesFired, state.crashes_fired);
-  journal.set_size(keys::kStormsFired, state.storms_fired);
-  journal.set_size(keys::kCorruptionsFired, state.corruptions_fired);
+void CheckpointWriter::sync_hours(const std::vector<HourRecord>& hours) {
+  // The cache is reused only while it is still a prefix of `hours`: the
+  // vector did not shrink and its last cached record re-encodes to the
+  // cached line. One record's encode is the guard's whole cost.
+  bool reuse = cached_hours_ > 0 && hours.size() >= cached_hours_;
+  if (reuse) {
+    probe_.clear();
+    append_hour_line(probe_, cached_hours_ - 1, hours[cached_hours_ - 1]);
+    reuse = std::string_view(hour_lines_).substr(last_line_begin_) == probe_;
+  }
+  if (!reuse) {
+    hour_lines_.clear();
+    cached_hours_ = 0;
+  }
+  for (; cached_hours_ < hours.size(); ++cached_hours_) {
+    last_line_begin_ = hour_lines_.size();
+    append_hour_line(hour_lines_, cached_hours_, hours[cached_hours_]);
+  }
+}
+
+const std::string& CheckpointWriter::encode(const CheckpointState& state) {
+  const MonthlyResult& r = state.partial;
+  sync_hours(r.hours);
+
+  std::string& out = text_;
+  out.clear();
+  out.reserve(hour_lines_.size() + 4096);
+  util::journal_text::append_header(out, keys::kCheckpointMagic,
+                                    keys::kCheckpointVersion);
+  put_u64(out, keys::kConfigDigest, state.config_digest);
+  put_u64(out, keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
+  put_u64(out, keys::kNextHour, state.next_hour);
+  put_double(out, keys::kSpent, state.spent);
+  put_u64(out, keys::kCrashesFired, state.crashes_fired);
+  put_u64(out, keys::kStormsFired, state.storms_fired);
+  put_u64(out, keys::kCorruptionsFired, state.corruptions_fired);
   for (std::size_t i = 0; i < state.feed.rng.size(); ++i)
-    journal.set_u64(keys::feed_rng(i), state.feed.rng[i]);
-  journal.set_size(keys::kFeedRecoveredUntil, state.feed.recovered_until);
+    put_u64(out, keys::feed_rng(i), state.feed.rng[i]);
+  put_u64(out, keys::kFeedRecoveredUntil, state.feed.recovered_until);
 
   const MarketCoupler::State& cp = state.coupler;
-  journal.set_u64(keys::kCouplerBreakerState, cp.breaker_state);
-  journal.set_size(keys::kCouplerConsecTroubled, cp.consecutive_troubled);
-  journal.set_size(keys::kCouplerCooldown, cp.cooldown_remaining);
-  journal.set_size(keys::kCouplerCurrentCooldown, cp.current_cooldown_hours);
-  journal.set_size(keys::kCouplerTrips, cp.trips);
-  journal.set_size(keys::kCouplerRung, cp.rung);
-  journal.set_size(keys::kCouplerCleanStreak, cp.clean_streak);
-  journal.set_u64(keys::kCouplerLastValid, cp.last_valid ? 1 : 0);
-  {
-    std::ostringstream active;
-    for (std::size_t i = 0; i < cp.last_active.size(); ++i) {
-      if (i) active << ' ';
-      active << static_cast<unsigned>(cp.last_active[i]);
-    }
-    journal.set(keys::kCouplerLastActive, active.str());
+  put_u64(out, keys::kCouplerBreakerState, cp.breaker_state);
+  put_u64(out, keys::kCouplerConsecTroubled, cp.consecutive_troubled);
+  put_u64(out, keys::kCouplerCooldown, cp.cooldown_remaining);
+  put_u64(out, keys::kCouplerCurrentCooldown, cp.current_cooldown_hours);
+  put_u64(out, keys::kCouplerTrips, cp.trips);
+  put_u64(out, keys::kCouplerRung, cp.rung);
+  put_u64(out, keys::kCouplerCleanStreak, cp.clean_streak);
+  put_u64(out, keys::kCouplerLastValid, cp.last_valid ? 1 : 0);
+  put_list(out, keys::kCouplerLastActive, cp.last_active);
+  put_key(out, keys::kCouplerLastPower);
+  for (double v : cp.last_power_mw) {
+    append_double_bits(out, v);
+    out += ' ';
   }
-  {
-    std::ostringstream power;
-    for (double v : cp.last_power_mw) put_d(power, v);
-    journal.set(keys::kCouplerLastPower, power.str());
-  }
+  out += '\n';
 
-  const MonthlyResult& r = state.partial;
-  journal.set_double_bits(keys::kMonthlyBudget, r.monthly_budget);
-  journal.set_double_bits(keys::kTotalCost, r.total_cost);
-  journal.set_double_bits(keys::kTotalPremiumArrivals, r.total_premium_arrivals);
-  journal.set_double_bits(keys::kTotalOrdinaryArrivals,
-                          r.total_ordinary_arrivals);
-  journal.set_double_bits(keys::kTotalServedPremium, r.total_served_premium);
-  journal.set_double_bits(keys::kTotalServedOrdinary, r.total_served_ordinary);
-  journal.set_double_bits(keys::kMaxSolveMs, r.max_solve_ms);
-  journal.set_size(keys::kDegradedHours, r.degraded_hours);
-  journal.set_size(keys::kIncumbentHours, r.incumbent_hours);
-  journal.set_size(keys::kHeuristicHours, r.heuristic_hours);
-  journal.set_size(keys::kOutageHours, r.outage_hours);
-  journal.set_size(keys::kStaleHours, r.stale_hours);
-  journal.set_size(keys::kFeedRetryAttempts, r.feed_retry_attempts);
-  journal.set_size(keys::kFeedRecoveredHours, r.feed_recovered_hours);
-  journal.set_size(keys::kCrashRecoveries, r.crash_recoveries);
-  journal.set_size(keys::kClosedLoopHours, r.closed_loop_hours);
-  journal.set_size(keys::kCouplerFallbackHours, r.coupler_fallback_hours);
-  journal.set_size(keys::kCouplerIterations, r.coupler_iterations);
-  {
-    std::ostringstream tally;
-    for (std::size_t i = 0; i < r.failure_tally.size(); ++i) {
-      if (i) tally << ' ';
-      tally << r.failure_tally[i];
-    }
-    journal.set(keys::kFailureTally, tally.str());
-  }
-  journal.set_size(keys::kDegradedChunks, r.degraded_chunks);
-  journal.set_size(keys::kQuarantinedChunks, r.quarantined_chunks);
-  journal.set_size(keys::kRegionDownChunks, r.region_down_chunks);
-  {
-    std::ostringstream tally;
-    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i) {
-      if (i) tally << ' ';
-      tally << r.chunk_failure_tally[i];
-    }
-    journal.set(keys::kChunkFailureTally, tally.str());
-  }
+  put_double(out, keys::kMonthlyBudget, r.monthly_budget);
+  put_double(out, keys::kTotalCost, r.total_cost);
+  put_double(out, keys::kTotalPremiumArrivals, r.total_premium_arrivals);
+  put_double(out, keys::kTotalOrdinaryArrivals, r.total_ordinary_arrivals);
+  put_double(out, keys::kTotalServedPremium, r.total_served_premium);
+  put_double(out, keys::kTotalServedOrdinary, r.total_served_ordinary);
+  put_double(out, keys::kMaxSolveMs, r.max_solve_ms);
+  put_u64(out, keys::kDegradedHours, r.degraded_hours);
+  put_u64(out, keys::kIncumbentHours, r.incumbent_hours);
+  put_u64(out, keys::kHeuristicHours, r.heuristic_hours);
+  put_u64(out, keys::kOutageHours, r.outage_hours);
+  put_u64(out, keys::kStaleHours, r.stale_hours);
+  put_u64(out, keys::kFeedRetryAttempts, r.feed_retry_attempts);
+  put_u64(out, keys::kFeedRecoveredHours, r.feed_recovered_hours);
+  put_u64(out, keys::kCrashRecoveries, r.crash_recoveries);
+  put_u64(out, keys::kClosedLoopHours, r.closed_loop_hours);
+  put_u64(out, keys::kCouplerFallbackHours, r.coupler_fallback_hours);
+  put_u64(out, keys::kCouplerIterations, r.coupler_iterations);
+  put_list(out, keys::kFailureTally, r.failure_tally);
+  put_u64(out, keys::kDegradedChunks, r.degraded_chunks);
+  put_u64(out, keys::kQuarantinedChunks, r.quarantined_chunks);
+  put_u64(out, keys::kRegionDownChunks, r.region_down_chunks);
+  put_list(out, keys::kChunkFailureTally, r.chunk_failure_tally);
 
-  journal.set_size(keys::kHours, r.hours.size());
-  for (std::size_t i = 0; i < r.hours.size(); ++i)
-    journal.set(keys::hour(i), encode_hour(r.hours[i]));
+  put_u64(out, keys::kHours, r.hours.size());
+  out += hour_lines_;
+  util::journal_text::append_checksum(out);
+  return out;
+}
 
-  journal.save_atomic(path);
+void CheckpointWriter::save(const std::string& path,
+                            const CheckpointState& state) {
+  util::journal_text::write_atomic(path, encode(state));
+}
+
+void CheckpointWriter::save_rotated(const std::string& path,
+                                    const CheckpointState& state,
+                                    std::size_t keep_generations) {
+  encode(state);
+  util::Journal::rotate_generations(path, keep_generations);
+  util::journal_text::write_atomic(path, text_);
+}
+
+void save_checkpoint(const std::string& path, const CheckpointState& state) {
+  CheckpointWriter().save(path, state);
 }
 
 CheckpointState load_checkpoint(const std::string& path) {
@@ -425,17 +521,12 @@ CheckpointState load_checkpoint(const std::string& path) {
     cp.rung = journal.get_size(keys::kCouplerRung);
     cp.clean_streak = journal.get_size(keys::kCouplerCleanStreak);
     cp.last_valid = journal.get_u64(keys::kCouplerLastValid) != 0;
-    {
-      std::istringstream active(journal.get(keys::kCouplerLastActive));
-      unsigned v = 0;
-      while (active >> v) cp.last_active.push_back(v != 0 ? 1 : 0);
-    }
-    {
-      std::istringstream power(journal.get(keys::kCouplerLastPower));
-      while (power >> std::ws, power.peek() != std::istringstream::traits_type::eof()) {
-        cp.last_power_mw.push_back(take_d(power));
-      }
-    }
+    Tokens active(journal.get(keys::kCouplerLastActive));
+    for (std::uint64_t v = 0; parse_u64(active.next(), v);)
+      cp.last_active.push_back(v != 0 ? 1 : 0);
+    Tokens power(journal.get(keys::kCouplerLastPower));
+    for (std::string_view t = power.next(); !t.empty(); t = power.next())
+      cp.last_power_mw.push_back(take_d(t));
   }
 
   MonthlyResult& r = state.partial;
@@ -467,14 +558,9 @@ CheckpointState load_checkpoint(const std::string& path) {
   r.coupler_iterations = journal.has(keys::kCouplerIterations)
                              ? journal.get_size(keys::kCouplerIterations)
                              : 0;
-  {
-    // Tolerant of shorter tallies: a checkpoint written before a
-    // FailureReason was added carries fewer entries, and the reasons it
-    // predates necessarily tallied zero (the array is zero-initialized).
-    std::istringstream tally(journal.get(keys::kFailureTally));
-    for (std::size_t i = 0; i < r.failure_tally.size(); ++i)
-      if (!(tally >> r.failure_tally[i])) break;
-  }
+  // Shorter tallies are tolerated: a checkpoint written before a
+  // FailureReason was added carries fewer entries.
+  read_tally(journal.get(keys::kFailureTally), r.failure_tally);
   // Written since the fleet-controller format; absent means a pre-fleet
   // checkpoint whose month had no chunk solves to count.
   r.degraded_chunks = journal.has(keys::kDegradedChunks)
@@ -486,12 +572,8 @@ CheckpointState load_checkpoint(const std::string& path) {
   r.region_down_chunks = journal.has(keys::kRegionDownChunks)
                              ? journal.get_size(keys::kRegionDownChunks)
                              : 0;
-  if (journal.has(keys::kChunkFailureTally)) {
-    // Same shorter-tally tolerance as failure_tally above.
-    std::istringstream tally(journal.get(keys::kChunkFailureTally));
-    for (std::size_t i = 0; i < r.chunk_failure_tally.size(); ++i)
-      if (!(tally >> r.chunk_failure_tally[i])) break;
-  }
+  if (journal.has(keys::kChunkFailureTally))
+    read_tally(journal.get(keys::kChunkFailureTally), r.chunk_failure_tally);
 
   const std::size_t hours = journal.get_size(keys::kHours);
   if (hours != state.next_hour)
@@ -507,8 +589,7 @@ CheckpointState load_checkpoint(const std::string& path) {
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
                              std::size_t keep_generations) {
-  util::Journal::rotate_generations(path, keep_generations);
-  save_checkpoint(path, state);
+  CheckpointWriter().save_rotated(path, state, keep_generations);
 }
 
 bool any_checkpoint_generation_exists(const std::string& path,

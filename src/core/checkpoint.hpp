@@ -46,9 +46,42 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
 /// True if a checkpoint file exists at `path` (it may still fail to load).
 bool checkpoint_exists(const std::string& path) noexcept;
 
-/// Atomically persists `state` (write-temp-then-rename): a kill at any
-/// instant leaves either the previous checkpoint or this one, never a torn
-/// file. Throws std::runtime_error on I/O failure.
+/// The checkpoint encoder. A month's journal grows by one hour record per
+/// commit, so the writer keeps the `h<i>=...` lines it has already encoded
+/// and each save encodes only the hours appended since the previous one;
+/// the ~60 scalar keys, the checksum and the write stay per-save work.
+/// The bytes are exactly what a fresh writer produces for the same state.
+///
+/// The cache assumes the hour vector only grows between saves, as
+/// run_resumable's does. A vector that shrank, or whose last cached record
+/// no longer encodes to the cached line (a different month), is
+/// re-encoded from scratch.
+class CheckpointWriter {
+ public:
+  /// The full journal text for `state`, checksum line included.
+  const std::string& encode(const CheckpointState& state);
+
+  /// Atomically persists `state` (write-temp-then-rename): a kill at any
+  /// instant leaves either the previous checkpoint or this one, never a
+  /// torn file. Throws std::runtime_error on I/O failure.
+  void save(const std::string& path, const CheckpointState& state);
+
+  /// Shifts the generation chain down one slot (see
+  /// save_checkpoint_rotated), then saves.
+  void save_rotated(const std::string& path, const CheckpointState& state,
+                    std::size_t keep_generations);
+
+ private:
+  void sync_hours(const std::vector<HourRecord>& hours);
+
+  std::string hour_lines_;           ///< lines of hours [0, cached_hours_)
+  std::size_t cached_hours_ = 0;
+  std::size_t last_line_begin_ = 0;  ///< offset of the last cached line
+  std::string probe_;                ///< re-encoded last line (the guard)
+  std::string text_;                 ///< the journal of the latest encode
+};
+
+/// One-shot CheckpointWriter::save.
 void save_checkpoint(const std::string& path, const CheckpointState& state);
 
 /// Loads and verifies a checkpoint. Throws std::runtime_error when the
@@ -59,7 +92,8 @@ CheckpointState load_checkpoint(const std::string& path);
 /// Like save_checkpoint, but first shifts the existing generation chain
 /// down one slot (`path` -> "<path>.1" -> ... -> "<path>.<K-1>", oldest
 /// dropped) so the last `keep_generations` checkpoints survive on disk.
-/// keep_generations <= 1 degenerates to plain save_checkpoint.
+/// keep_generations <= 1 degenerates to plain save_checkpoint. One-shot
+/// CheckpointWriter::save_rotated.
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
                              std::size_t keep_generations);

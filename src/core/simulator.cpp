@@ -638,8 +638,11 @@ Simulator::ResumableOutcome Simulator::run_resumable(
   // Injected crashes and exit storms model defects in the primary decide
   // path; the degraded standby bypasses that path, so they do not fire.
   const bool standby = config_.standby;
+  // One writer per attempt: each commit encodes only the hour it appends
+  // (a resumed attempt's first commit encodes the loaded hours once).
+  CheckpointWriter writer;
   const auto save = [&](const CheckpointState& s) {
-    save_checkpoint_rotated(checkpoint_path, s, gens);
+    writer.save_rotated(checkpoint_path, s, gens);
   };
 
   out.resumed_from = st.next_hour;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -143,6 +144,18 @@ long CliArgs::get_positive_long(const std::string& name, long fallback) const {
     throw UsageError("--" + name + ": expected an integer >= 1, got " +
                      get(name));
   return value;
+}
+
+bool CliArgs::listed(std::string_view name,
+                     std::initializer_list<FlagTable> tables) {
+  return std::any_of(tables.begin(), tables.end(), [name](FlagTable table) {
+    return std::find(table.begin(), table.end(), name) != table.end();
+  });
+}
+
+void CliArgs::require_known(std::initializer_list<FlagTable> tables) const {
+  for (const auto& [name, value] : flags_)
+    if (!listed(name, tables)) throw UsageError("unknown flag --" + name);
 }
 
 }  // namespace billcap::util

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace billcap::util {
@@ -17,10 +20,15 @@ class UsageError : public std::runtime_error {
 
 /// Minimal command-line parser for the repository's tools:
 ///   prog <command> [--flag value] [--flag=value] [--switch] [positional...]
-/// Unknown flags are collected rather than rejected so callers can decide;
-/// values are typed on access with defaults.
+/// Every flag is collected at parse time; a command then rejects the ones
+/// its flag tables do not list (require_known) so a misspelled flag fails
+/// instead of silently running the defaults. Values are typed on access
+/// with defaults.
 class CliArgs {
  public:
+  /// One command's flag names, without the leading dashes.
+  using FlagTable = std::span<const std::string_view>;
+
   /// Parses argv (argv[0] is skipped). The first non-flag token becomes the
   /// command; later non-flag tokens are positionals.
   CliArgs(int argc, const char* const* argv);
@@ -55,6 +63,13 @@ class CliArgs {
   double get_positive_double(const std::string& name, double fallback) const;
   /// An integer >= 1.
   long get_positive_long(const std::string& name, long fallback) const;
+
+  /// True when one of `tables` lists `name`.
+  static bool listed(std::string_view name,
+                     std::initializer_list<FlagTable> tables);
+  /// Throws a UsageError naming the first given flag (in name order) that
+  /// none of `tables` lists.
+  void require_known(std::initializer_list<FlagTable> tables) const;
 
  private:
   std::string command_;

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -26,13 +25,6 @@ std::uint64_t fnv1a(std::string_view data) noexcept {
     hash *= 0x100000001b3ULL;
   }
   return hash;
-}
-
-std::string hex_u64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf, 16);
 }
 
 std::uint64_t parse_hex_u64(std::string_view text) {
@@ -60,13 +52,15 @@ void Journal::set(const std::string& key, std::string value) {
   if (value.find('\n') != std::string::npos)
     throw std::invalid_argument("Journal: value for '" + key +
                                 "' contains newline");
-  if (has(key))
+  if (!index_.emplace(key, entries_.size()).second)
     throw std::invalid_argument("Journal: duplicate key '" + key + "'");
   entries_.emplace_back(key, std::move(value));
 }
 
 void Journal::set_u64(const std::string& key, std::uint64_t value) {
-  set(key, std::to_string(value));
+  std::string text;
+  journal_text::append_u64(text, value);
+  set(key, std::move(text));
 }
 
 void Journal::set_size(const std::string& key, std::size_t value) {
@@ -74,7 +68,9 @@ void Journal::set_size(const std::string& key, std::size_t value) {
 }
 
 void Journal::set_double_bits(const std::string& key, double value) {
-  set(key, hex_u64(std::bit_cast<std::uint64_t>(value)));
+  std::string text;
+  journal_text::append_double_bits(text, value);
+  set(key, std::move(text));
 }
 
 void Journal::set_double_list(const std::string& key,
@@ -83,21 +79,20 @@ void Journal::set_double_list(const std::string& key,
   joined.reserve(values.size() * 17);
   for (double v : values) {
     if (!joined.empty()) joined.push_back(' ');
-    joined += hex_u64(std::bit_cast<std::uint64_t>(v));
+    journal_text::append_double_bits(joined, v);
   }
   set(key, std::move(joined));
 }
 
 bool Journal::has(const std::string& key) const noexcept {
-  for (const auto& [k, v] : entries_)
-    if (k == key) return true;
-  return false;
+  return index_.count(key) > 0;
 }
 
 const std::string& Journal::get(const std::string& key) const {
-  for (const auto& [k, v] : entries_)
-    if (k == key) return v;
-  throw std::runtime_error("Journal: missing key '" + key + "'");
+  const auto it = index_.find(key);
+  if (it == index_.end())
+    throw std::runtime_error("Journal: missing key '" + key + "'");
+  return entries_[it->second].second;
 }
 
 std::uint64_t Journal::get_u64(const std::string& key) const {
@@ -119,24 +114,24 @@ double Journal::get_double_bits(const std::string& key) const {
 }
 
 std::vector<double> Journal::get_double_list(const std::string& key) const {
-  const std::string& s = get(key);
   std::vector<double> out;
-  std::stringstream tokens(s);
-  std::string token;
-  while (tokens >> token)
-    out.push_back(std::bit_cast<double>(parse_hex_u64(token)));
+  journal_text::Tokens tokens(get(key));
+  for (std::string_view t = tokens.next(); !t.empty(); t = tokens.next())
+    out.push_back(std::bit_cast<double>(parse_hex_u64(t)));
   return out;
 }
 
 std::string Journal::serialize() const {
-  std::string payload = magic_ + " v" + std::to_string(version_) + "\n";
+  std::string text;
+  journal_text::append_header(text, magic_, version_);
   for (const auto& [k, v] : entries_) {
-    payload += k;
-    payload += '=';
-    payload += v;
-    payload += '\n';
+    text += k;
+    text += '=';
+    text += v;
+    text += '\n';
   }
-  return payload + "checksum " + hex_u64(fnv1a(payload)) + "\n";
+  journal_text::append_checksum(text);
+  return text;
 }
 
 Journal Journal::parse(std::string_view text, std::string_view expected_magic,
@@ -200,8 +195,38 @@ Journal Journal::parse(std::string_view text, std::string_view expected_magic,
 }
 
 void Journal::save_atomic(const std::string& path) const {
+  journal_text::write_atomic(path, serialize());
+}
+
+namespace journal_text {
+
+void append_header(std::string& out, std::string_view magic, int version) {
+  out += magic;
+  out += " v";
+  append_u64(out, static_cast<std::uint64_t>(version));
+  out += '\n';
+}
+
+void append_u64(std::string& out, std::uint64_t value) {
+  char buf[kMaxU64Chars];
+  out.append(buf, write_u64(buf, value));
+}
+
+void append_double_bits(std::string& out, double value) {
+  char buf[kDoubleBitsChars];
+  out.append(buf, write_double_bits(buf, value));
+}
+
+void append_checksum(std::string& out) {
+  char hex[kDoubleBitsChars];
+  write_hex_u64(hex, fnv1a(out));
+  out += "checksum ";
+  out.append(hex, sizeof(hex));
+  out += '\n';
+}
+
+void write_atomic(const std::string& path, std::string_view text) {
   const std::string tmp = path + ".tmp";
-  const std::string text = serialize();
 #if defined(__unix__) || defined(__APPLE__)
   // POSIX path: fsync the data before the rename and the directory after
   // it. Without the directory fsync the rename lives only in the page
@@ -256,6 +281,8 @@ void Journal::save_atomic(const std::string& path) const {
 #endif
 }
 
+}  // namespace journal_text
+
 std::string Journal::generation_path(const std::string& path,
                                      std::size_t generation) {
   return generation == 0 ? path : path + "." + std::to_string(generation);
@@ -274,11 +301,15 @@ void Journal::rotate_generations(const std::string& path,
 
 Journal Journal::load(const std::string& path, std::string_view expected_magic,
                       int max_version) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("Journal: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str(), expected_magic, max_version);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("Journal: cannot read " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!in) throw std::runtime_error("Journal: cannot read " + path);
+  return parse(text, expected_magic, max_version);
 }
 
 }  // namespace billcap::util

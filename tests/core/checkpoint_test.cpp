@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint_keys.hpp"
 #include "core/simulator.hpp"
@@ -504,6 +506,166 @@ TEST(CheckpointTest, HourCountInconsistencyIsRejected) {
       },
       std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---- CheckpointWriter byte identity ---------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+std::string golden_path(const std::string& name) {
+  return std::string(BILLCAP_TEST_DATA_DIR) + "/" + name;
+}
+
+TEST(CheckpointWriterTest, ReproducesGoldenCouplerSampleJournal) {
+  // tests/data/checkpoint_coupler_sample.j was written by the whole-journal
+  // Journal::set_* writer that CheckpointWriter replaced (commit 29260e2),
+  // from this same coupler_sample_state().
+  const std::string golden = slurp(golden_path("checkpoint_coupler_sample.j"));
+  ASSERT_FALSE(golden.empty());
+  const CheckpointState st = coupler_sample_state();
+  EXPECT_EQ(CheckpointWriter().encode(st), golden);
+
+  const std::string path = temp_path("billcap_checkpoint_golden_sample.j");
+  save_checkpoint(path, st);
+  EXPECT_EQ(slurp(path), golden);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointWriterTest, ReproducesGoldenMonthJournalOneShotAndIncrementally) {
+  // tests/data/checkpoint_month48.j is the checkpoint the replaced writer
+  // (commit 29260e2) left after run_resumable committed 48 hours of a
+  // seed-2012 $1.5M month with site outages {1, 6h, 5h} and {0, 30h, 3h},
+  // stale feed intervals {12h, 6h} and {40h, 4h} and a retrying feed
+  // (success probability 0.1), stopped by ResumeControls::max_hours = 48.
+  const std::string path = golden_path("checkpoint_month48.j");
+  const std::string golden = slurp(path);
+  const CheckpointState st = load_checkpoint(path);
+  ASSERT_EQ(st.partial.hours.size(), 48u);
+  EXPECT_GT(st.partial.outage_hours, 0u);
+  EXPECT_GT(st.partial.stale_hours, 0u);
+  EXPECT_EQ(CheckpointWriter().encode(st), golden);
+
+  // The same month committed hour by hour through one writer: every
+  // prefix is what a fresh writer encodes, and the last is the golden.
+  CheckpointWriter writer;
+  CheckpointState prefix = st;
+  for (std::size_t h = 0; h <= st.partial.hours.size(); ++h) {
+    prefix.partial.hours.assign(st.partial.hours.begin(),
+                                st.partial.hours.begin() +
+                                    static_cast<std::ptrdiff_t>(h));
+    prefix.next_hour = h;
+    ASSERT_EQ(writer.encode(prefix), CheckpointWriter().encode(prefix))
+        << "prefix of " << h << " hours";
+  }
+  EXPECT_EQ(writer.encode(st), golden);
+}
+
+TEST(CheckpointWriterTest, CacheIsDiscardedWhenHoursShrinkOrDiffer) {
+  CheckpointWriter writer;
+  CheckpointState st = coupler_sample_state();
+  writer.encode(st);
+
+  // Same hour count, different last record (another month's vector).
+  CheckpointState other = st;
+  other.partial.hours.back().cost += 1.0;
+  EXPECT_EQ(writer.encode(other), CheckpointWriter().encode(other));
+
+  // Fewer hours than cached.
+  CheckpointState shorter = st;
+  shorter.partial.hours.pop_back();
+  shorter.next_hour = shorter.partial.hours.size();
+  EXPECT_EQ(writer.encode(shorter), CheckpointWriter().encode(shorter));
+
+  // No hours at all, then growth again from a cold cache.
+  CheckpointState empty = st;
+  empty.partial.hours.clear();
+  empty.next_hour = 0;
+  EXPECT_EQ(writer.encode(empty), CheckpointWriter().encode(empty));
+  EXPECT_EQ(writer.encode(st), CheckpointWriter().encode(st));
+}
+
+TEST(CheckpointWriterTest, EveryCommitMatchesOneShotThroughCrashesAndFallback) {
+  // A full month under run_resumable with a controller crash every 7 hours
+  // (alternating after / before the hour's commit) and one corrupted
+  // commit, resumed in-process until it completes. After every commit the
+  // newest viable generation must be (a) byte-identical to a one-shot
+  // save_checkpoint of its own load_checkpoint, and (b) carry exactly the
+  // hour records the month produced — including the commits of writers
+  // whose cache was seeded by a resume or a generation fallback.
+  constexpr std::size_t kKeep = 2;
+  constexpr std::size_t kCorruptHour = 100;  // not a crash hour
+  SimulationConfig config;
+  config.monthly_budget = 1.5e6;
+  config.seed = 2012;
+  config.fault_rates.outage_rate = 0.003;
+  config.fault_rates.stale_rate = 0.02;
+  for (std::size_t h = 7, i = 0; h < 720; h += 7, ++i)
+    config.fault_plan.crashes.push_back({h, i % 2 == 1});
+  config.fault_plan.checkpoint_corruptions.push_back({kCorruptHour});
+  const Simulator sim(config);
+  const std::uint64_t digest =
+      checkpoint_digest(config, Strategy::kCostCapping);
+
+  const std::string path = temp_path("billcap_checkpoint_writer_prop.j");
+  const std::string side = temp_path("billcap_checkpoint_writer_prop_side.j");
+  for (std::size_t g = 0; g < kKeep; ++g)
+    std::remove(util::Journal::generation_path(path, g).c_str());
+
+  std::vector<HourRecord> produced;  // the month's records, by hour
+  std::size_t checks = 0;
+  std::size_t fallback_checks = 0;
+  const auto check_commit = [&] {
+    const CheckpointLoadReport report =
+        load_checkpoint_fallback(path, kKeep, digest);
+    if (report.generation != 0) ++fallback_checks;
+    const std::string file = slurp(
+        util::Journal::generation_path(path, report.generation));
+    save_checkpoint(side, report.state);
+    ASSERT_EQ(slurp(side), file) << "commit at hour " << report.state.next_hour;
+
+    CheckpointState truth = report.state;
+    ASSERT_LE(truth.partial.hours.size(), produced.size());
+    truth.partial.hours.assign(
+        produced.begin(),
+        produced.begin() +
+            static_cast<std::ptrdiff_t>(truth.partial.hours.size()));
+    ASSERT_EQ(CheckpointWriter().encode(truth), file)
+        << "hour records differ at hour " << report.state.next_hour;
+    ++checks;
+  };
+  const auto on_hour = [&](const HourRecord& rec) {
+    if (rec.hour > 0) check_commit();  // the previous hour's commit
+    if (produced.size() <= rec.hour) produced.resize(rec.hour + 1);
+    produced[rec.hour] = rec;
+  };
+
+  Simulator::ResumeControls controls;
+  controls.keep_generations = kKeep;
+  Simulator::ResumableOutcome out;
+  std::size_t attempts = 0;
+  std::size_t resumed_fallbacks = 0;
+  do {
+    out = sim.run_resumable(Strategy::kCostCapping, path, attempts > 0,
+                            on_hour, controls);
+    if (out.resumed_generation != 0) ++resumed_fallbacks;
+    ++attempts;
+    check_commit();
+    if (HasFatalFailure()) break;
+  } while (out.crashed);
+
+  EXPECT_FALSE(out.crashed);
+  EXPECT_EQ(out.result.hours.size(), 720u);
+  EXPECT_EQ(attempts, config.fault_plan.crashes.size() + 2);
+  EXPECT_EQ(resumed_fallbacks, 1u);
+  EXPECT_GE(fallback_checks, 1u);
+  EXPECT_GT(checks, 720u);
+  for (std::size_t g = 0; g < kKeep; ++g)
+    std::remove(util::Journal::generation_path(path, g).c_str());
+  std::remove(side.c_str());
 }
 
 }  // namespace

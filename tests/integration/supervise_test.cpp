@@ -205,6 +205,25 @@ TEST(SuperviseTest, UsageErrorsAreNotRetried) {
   remove_generations(path, 3);
 }
 
+TEST(SuperviseTest, UnknownFlagsAreUsageErrorsBeforeAnyWork) {
+  // A misspelled flag must not silently run the defaults: every command
+  // rejects it up front, and supervise checks against the tables of the
+  // child it would start (a serve-only flag is unknown to simulate).
+  const std::string path = temp_path("billcap_supervise_unknown.j");
+  remove_generations(path, 3);
+  EXPECT_EQ(run_cli({"simulate", "--budget", "2500000", "--checkpint", path}),
+            kExitUsage);
+  EXPECT_EQ(run_cli({"serve", "--hours", "1", "--die-on-crash"}), kExitUsage);
+  EXPECT_EQ(run_cli({"supervise", "--checkpoint", path, "--backof-ms", "1"}),
+            kExitUsage);
+  EXPECT_EQ(run_cli({"supervise", "--checkpoint", path, "--ticks-per-hour",
+                     "2"}),
+            kExitUsage);
+  EXPECT_FALSE(any_checkpoint_generation_exists(path, 3))
+      << "a rejected command line started a month";
+  remove_generations(path, 3);
+}
+
 }  // namespace
 }  // namespace billcap::core
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace billcap::util {
 namespace {
 
@@ -127,6 +130,43 @@ TEST(CliArgsTest, UsageErrorIsDistinguishableFromRuntimeError) {
   } catch (const std::exception&) {
     FAIL() << "wrong exception type";
   }
+}
+
+constexpr std::string_view kRunFlags[] = {"budget", "checkpoint", "resume"};
+constexpr std::string_view kExtraFlags[] = {"csv"};
+
+TEST(CliArgsTest, RequireKnownAcceptsListedFlags) {
+  const CliArgs args =
+      parse({"run", "--budget", "5", "--resume", "--csv=out.csv"});
+  EXPECT_NO_THROW(args.require_known({kRunFlags, kExtraFlags}));
+  EXPECT_NO_THROW(parse({"run", "positional"}).require_known({kRunFlags}));
+}
+
+TEST(CliArgsTest, RequireKnownNamesTheUnknownFlag) {
+  // The motivating typo: --checkpint silently ran a month without a
+  // checkpoint and exited 0.
+  const CliArgs args = parse({"run", "--budget", "2500000", "--checkpint",
+                              "ck.j"});
+  try {
+    args.require_known({kRunFlags, kExtraFlags});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--checkpint"), std::string::npos)
+        << e.what();
+  }
+  // A flag listed only in a table that is not passed is unknown too.
+  EXPECT_THROW(parse({"run", "--csv", "x"}).require_known({kRunFlags}),
+               UsageError);
+  EXPECT_THROW(parse({"run", "--help"}).require_known({kRunFlags}),
+               UsageError);
+}
+
+TEST(CliArgsTest, ListedSearchesEveryTable) {
+  EXPECT_TRUE(CliArgs::listed("csv", {kRunFlags, kExtraFlags}));
+  EXPECT_TRUE(CliArgs::listed("budget", {kRunFlags}));
+  EXPECT_FALSE(CliArgs::listed("csv", {kRunFlags}));
+  EXPECT_FALSE(CliArgs::listed("budge", {kRunFlags, kExtraFlags}));
+  EXPECT_FALSE(CliArgs::listed("budget", {}));
 }
 
 }  // namespace

@@ -47,7 +47,8 @@
 // Exit codes:
 //   0  success
 //   1  runtime error (I/O failure, no viable checkpoint, internal error)
-//   2  usage error (unknown command, unparseable or out-of-range flag)
+//   2  usage error (unknown command or flag, unparseable or out-of-range
+//      flag value)
 //   3  unrecoverable degradation (the premium QoS guarantee was broken)
 //   4  graceful stop (SIGTERM/SIGINT, or a standby attempt's chunk done)
 //   5  the supervisor gave up (restart budget exhausted)
@@ -58,10 +59,10 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -85,6 +86,44 @@
 namespace {
 
 using namespace billcap;
+
+// ---- flag tables ----------------------------------------------------------
+// Each command accepts exactly the flags its tables list (anything else is
+// a usage error), and supervise forwards to its child exactly the flags
+// the child's tables list.
+
+/// The simulation config, fault schedule, coupler and durability flags
+/// that simulate and serve share.
+constexpr std::string_view kMonthFlags[] = {
+    "budget", "policy", "seed", "no-cap", "min-premium", "csv",
+    "checkpoint", "resume", "keep-generations", "standby", "standby-hours",
+    // parse_faults
+    "outages", "stale", "shocks", "squeezes", "crash-at", "exit-storm",
+    "corrupt-checkpoint-at", "flash-crowds", "feed-bursts", "line-outage",
+    "bg-shock", "congestion-spike", "fault-outage-rate", "fault-stale-rate",
+    "fault-shock-rate", "fault-squeeze-rate", "crash-rate",
+    "fault-outage-mean", "fault-stale-mean", "fault-shock-mean",
+    "fault-squeeze-mean", "feed-retry-prob", "feed-max-retries",
+    "feed-backoff-ms", "deadline-ms", "warm-solver",
+    // parse_coupler
+    "closed-loop", "coupler-max-iters", "coupler-gain", "damping",
+    "coupler-open-plan"};
+constexpr std::string_view kSimulateFlags[] = {"strategy", "months",
+                                               "die-on-crash"};
+constexpr std::string_view kServeFlags[] = {
+    "ticks-per-hour", "hours", "premium-queue-ticks", "ordinary-queue-ticks",
+    "feed-queue", "feed-drain", "stale-ticks", "breaker-trip",
+    "breaker-cooldown", "replan-nodes", "replan-deadline-ms", "kill-at-ticks",
+    "die-on-kill"};
+/// Flags supervise consumes or sets on the child itself; never forwarded.
+constexpr std::string_view kSupervisorFlags[] = {
+    "restart-budget", "restart-window-s", "backoff-ms", "backoff-multiplier",
+    "backoff-max-ms", "backoff-jitter", "escalate-after", "standby-hours",
+    "keep-generations", "resume", "die-on-crash", "die-on-kill", "standby",
+    "serve"};
+constexpr std::string_view kSweepFlags[] = {"budgets", "policy", "seed"};
+constexpr std::string_view kOpfFlags[] = {"load"};
+constexpr std::string_view kTraceFlags[] = {"seed"};
 
 core::Strategy parse_strategy(const std::string& name) {
   if (name == "costcapping") return core::Strategy::kCostCapping;
@@ -342,6 +381,7 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 void request_stop(int) { g_stop_requested = 1; }
 
 int cmd_simulate(const util::CliArgs& args) {
+  args.require_known({kMonthFlags, kSimulateFlags});
   core::SimulationConfig config;
   config.monthly_budget = args.get_positive_double("budget", 1.5e6);
   config.policy_level = static_cast<int>(args.get_long("policy", 1));
@@ -597,6 +637,7 @@ std::vector<std::string> tick_csv_row(const serve::TickRecord& t) {
 /// admission ladder and the breaker-guarded re-plan engine, with a durable
 /// per-tick checkpoint. Reuses simulate's config and fault flags.
 int cmd_serve(const util::CliArgs& args) {
+  args.require_known({kMonthFlags, kServeFlags});
   core::SimulationConfig config;
   config.monthly_budget = args.get_positive_double("budget", 1.5e6);
   config.policy_level = static_cast<int>(args.get_long("policy", 1));
@@ -783,6 +824,7 @@ int cmd_serve(const util::CliArgs& args) {
 }
 
 int cmd_sweep(const util::CliArgs& args) {
+  args.require_known({kSweepFlags});
   const auto budgets =
       args.get_double_list("budgets", {0.5e6, 1.0e6, 1.5e6, 2.0e6, 2.5e6});
   util::Table table({"budget", "cost / budget", "premium", "ordinary"});
@@ -803,6 +845,7 @@ int cmd_sweep(const util::CliArgs& args) {
 }
 
 int cmd_opf(const util::CliArgs& args) {
+  args.require_known({kOpfFlags});
   const double load = args.get_double("load", 900.0);
   const market::Grid grid = market::pjm5_grid();
   const market::DcOpfResult r =
@@ -839,6 +882,7 @@ int cmd_opf(const util::CliArgs& args) {
 }
 
 int cmd_trace(const util::CliArgs& args) {
+  args.require_known({kTraceFlags});
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 2012));
   const workload::TwoMonthTrace both = workload::paper_two_month_trace(seed);
   workload::TraceStatsOptions options;
@@ -882,9 +926,15 @@ std::string self_path(const char* argv0) {
 /// controller as a child, restarts it (with budget + backoff) when it dies
 /// abnormally, escalates to the degraded premium-only standby after
 /// repeated zero-progress deaths, and stops cleanly on SIGTERM/SIGINT or a
-/// graceful child exit. Needs raw argv so non-supervisor flags can be
-/// forwarded to the child verbatim.
+/// graceful child exit. Needs raw argv so the child's flags can be
+/// forwarded to it verbatim.
 int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
+  // --serve supervises the serving daemon instead of the batch controller.
+  const bool serve_child = args.get_bool("serve", false);
+  const util::CliArgs::FlagTable child_flags =
+      serve_child ? util::CliArgs::FlagTable(kServeFlags)
+                  : util::CliArgs::FlagTable(kSimulateFlags);
+  args.require_known({kSupervisorFlags, kMonthFlags, child_flags});
   const std::string checkpoint_path = args.get("checkpoint");
   if (checkpoint_path.empty())
     throw util::UsageError("supervise requires --checkpoint <path>");
@@ -907,13 +957,8 @@ int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
   const auto keep_generations = static_cast<std::size_t>(
       args.get_positive_long("keep-generations", 3));
 
-  // Flags the supervisor consumes or controls itself; everything else on
-  // the command line is forwarded to the simulate child verbatim.
-  static const std::set<std::string> kSupervisorFlags = {
-      "restart-budget", "restart-window-s", "backoff-ms",
-      "backoff-multiplier", "backoff-max-ms", "backoff-jitter",
-      "escalate-after", "standby-hours", "keep-generations",
-      "resume", "die-on-crash", "die-on-kill", "standby", "serve"};
+  // Forward the child's own flags verbatim (after require_known, every flag
+  // the supervisor does not keep is one the child's tables list).
   std::vector<std::string> forwarded;
   bool command_seen = false;
   for (int i = 1; i < argc; ++i) {
@@ -925,7 +970,7 @@ int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
       const bool separate_value =
           eq == std::string::npos && i + 1 < argc &&
           !(std::string(argv[i + 1]).rfind("--", 0) == 0);
-      if (kSupervisorFlags.count(name)) {
+      if (util::CliArgs::listed(name, {kSupervisorFlags})) {
         if (separate_value) ++i;
         continue;
       }
@@ -941,9 +986,7 @@ int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
 
   // Both children always resume from the rotated checkpoint chain and let
   // injected crashes (or serve kill-ticks) kill the real process so the
-  // watchdog sees them. --serve supervises the serving daemon instead of
-  // the batch controller.
-  const bool serve_child = args.get_bool("serve", false);
+  // watchdog sees them.
   core::ChildSpec primary;
   primary.program = self_path(argv[0]);
   primary.args.emplace_back(serve_child ? "serve" : "simulate");
@@ -1033,7 +1076,7 @@ int cmd_help() {
       "            --backoff-multiplier --backoff-max-ms --backoff-jitter),\n"
       "            escalates to standby after --escalate-after zero-progress\n"
       "            deaths, keeps --keep-generations rotated checkpoints.\n"
-      "            All other flags are forwarded to the child.\n"
+      "            The child's own flags are forwarded to it.\n"
       "  sweep     budget sweep (--budgets 0.5e6,1e6,... --policy --seed)\n"
       "  opf       PJM 5-bus optimal power flow (--load MW)\n"
       "  trace     synthetic workload statistics (--seed)\n"
@@ -1041,7 +1084,8 @@ int cmd_help() {
       "exit codes:\n"
       "  0  success\n"
       "  1  runtime error (I/O failure, no viable checkpoint generation)\n"
-      "  2  usage error (unknown command, bad or out-of-range flag)\n"
+      "  2  usage error (unknown command or flag, bad or out-of-range\n"
+      "     flag value)\n"
       "  3  unrecoverable degradation (premium QoS guarantee broken)\n"
       "  4  graceful stop (SIGTERM/SIGINT honoured, or a standby attempt\n"
       "     that committed its chunk) — resume with --resume\n"
