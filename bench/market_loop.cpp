@@ -18,11 +18,11 @@
 // Results land in BENCH_market.json next to the binary (archived at the
 // repo root by tools/ci.sh). Flags: --gains a,b,c --dampings off,ladder,full
 // to reshape the sweep, --smoke for the contract-only ctest configuration
-// (the three configurations the gates need, nothing more).
+// (the three configurations the gates need, nothing more). Any other flag
+// is a usage error (exit 2).
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,42 +31,35 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/exit_codes.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
+#include "util/fnv1a.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace billcap;
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 /// Bitwise digest of the month's full decision trajectory: any
 /// nondeterminism in the coupler (iteration order, curve derivation,
 /// breaker clock) shows up as a digest mismatch between identical runs.
 std::uint64_t month_digest(const core::MonthlyResult& result) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  util::Fnv1a d;
   for (const core::HourRecord& h : result.hours) {
-    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(h.cost));
-    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(h.predicted_cost));
-    for (const double l : h.site_lambda)
-      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(l));
-    hash = fnv1a(hash, h.coupler_iterations);
-    hash = fnv1a(hash, h.coupler_converged ? 1 : 0);
-    hash = fnv1a(hash, h.coupler_fallback ? 1 : 0);
-    hash = fnv1a(hash, h.coupler_rung);
-    hash = fnv1a(hash, static_cast<std::uint64_t>(h.failure));
+    d.mix_double(h.cost);
+    d.mix_double(h.predicted_cost);
+    for (const double l : h.site_lambda) d.mix_double(l);
+    d.mix_u64(h.coupler_iterations);
+    d.mix_bool(h.coupler_converged);
+    d.mix_bool(h.coupler_fallback);
+    d.mix_u64(h.coupler_rung);
+    d.mix_u64(static_cast<std::uint64_t>(h.failure));
   }
-  return hash;
+  return d.hash;
 }
 
 struct ConfigResult {
@@ -128,6 +121,8 @@ core::DampingMode damping_from(const std::string& name) {
                            "' (off|ladder|full)");
 }
 
+constexpr std::string_view kFlags[] = {"smoke", "gains", "dampings"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -136,6 +131,7 @@ int main(int argc, char** argv) {
   std::vector<core::DampingMode> dampings;
   bool smoke = false;
   try {
+    args.require_known({kFlags});
     smoke = args.get_bool("smoke");
     gains = args.get_double_list("gains", {1.0, 2.5, 4.0});
     const std::string damping_csv = args.get("dampings", "off,ladder,full");

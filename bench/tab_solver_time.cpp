@@ -5,9 +5,9 @@
 //
 // Two parts. The custom main first runs the solver-engine comparison — a
 // month of hourly min-cost MILPs on exactly that problem shape, solved by
-// the legacy reference engine, by a cold arena (fresh ArenaSolver per
-// hour) and by a warm arena (one solver carrying its basis hour over
-// hour) — verifies all three agree on every objective, and drops the
+// the legacy reference engine (from the test oracle library in
+// tests/oracle/), by a cold arena (fresh ArenaSolver per hour) and by a
+// warm arena (one solver carrying its basis hour over hour) — verifies all three agree on every objective, and drops the
 // numbers as BENCH_solver.json (archived by tools/ci.sh). Then the
 // google-benchmark micro benches below time the production entry points
 // across workload magnitudes; pass --benchmark_filter=^$ to skip them.
@@ -32,6 +32,7 @@
 #include "lp/arena_solver.hpp"
 #include "lp/milp.hpp"
 #include "market/pricing_policy.hpp"
+#include "oracle/milp_reference.hpp"
 
 namespace {
 

@@ -9,31 +9,12 @@
 #include <string_view>
 
 #include "core/checkpoint_keys.hpp"
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
 namespace billcap::core {
 
 namespace {
-
-// ---- digest ---------------------------------------------------------------
-
-struct Digest {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-
-  void mix_u64(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_size(std::size_t value) noexcept {
-    mix_u64(static_cast<std::uint64_t>(value));
-  }
-  void mix_double(double value) noexcept {
-    mix_u64(std::bit_cast<std::uint64_t>(value));
-  }
-  void mix_bool(bool value) noexcept { mix_u64(value ? 1 : 0); }
-};
 
 // ---- encoding -------------------------------------------------------------
 
@@ -230,14 +211,14 @@ void read_tally(std::string_view text, std::array<std::size_t, N>& tally) {
 
 std::uint64_t checkpoint_digest(const SimulationConfig& config,
                                 Strategy strategy) {
-  Digest d;
+  util::Fnv1a d;
   d.mix_u64(static_cast<std::uint64_t>(strategy));
   d.mix_u64(config.seed);
   d.mix_double(config.monthly_budget);
   d.mix_double(config.premium_share);
   d.mix_u64(static_cast<std::uint64_t>(config.policy_level));
   d.mix_bool(config.enforce_budget);
-  d.mix_size(config.history_weeks);
+  d.mix_u64(config.history_weeks);
   d.mix_u64(static_cast<std::uint64_t>(config.budget_weighting));
   d.mix_u64(config.history_seed_offset);
 
@@ -258,92 +239,92 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
   d.mix_double(config.optimizer.milp.time_limit_ms);
 
   const FaultPlan& plan = config.fault_plan;
-  d.mix_size(plan.outages.size());
+  d.mix_u64(plan.outages.size());
   for (const auto& o : plan.outages) {
-    d.mix_size(o.site);
-    d.mix_size(o.start_hour);
-    d.mix_size(o.duration_hours);
+    d.mix_u64(o.site);
+    d.mix_u64(o.start_hour);
+    d.mix_u64(o.duration_hours);
   }
-  d.mix_size(plan.stale_intervals.size());
+  d.mix_u64(plan.stale_intervals.size());
   for (const auto& s : plan.stale_intervals) {
-    d.mix_size(s.start_hour);
-    d.mix_size(s.duration_hours);
+    d.mix_u64(s.start_hour);
+    d.mix_u64(s.duration_hours);
   }
-  d.mix_size(plan.demand_shocks.size());
+  d.mix_u64(plan.demand_shocks.size());
   for (const auto& s : plan.demand_shocks) {
-    d.mix_size(s.site);
-    d.mix_size(s.start_hour);
-    d.mix_size(s.duration_hours);
+    d.mix_u64(s.site);
+    d.mix_u64(s.start_hour);
+    d.mix_u64(s.duration_hours);
     d.mix_double(s.multiplier);
   }
-  d.mix_size(plan.deadline_squeezes.size());
+  d.mix_u64(plan.deadline_squeezes.size());
   for (const auto& s : plan.deadline_squeezes) {
-    d.mix_size(s.start_hour);
-    d.mix_size(s.duration_hours);
+    d.mix_u64(s.start_hour);
+    d.mix_u64(s.duration_hours);
     d.mix_double(s.time_limit_ms);
   }
-  d.mix_size(plan.crashes.size());
+  d.mix_u64(plan.crashes.size());
   for (const auto& c : plan.crashes) {
-    d.mix_size(c.hour);
+    d.mix_u64(c.hour);
     d.mix_bool(c.before_checkpoint);
   }
-  d.mix_size(plan.exit_storms.size());
+  d.mix_u64(plan.exit_storms.size());
   for (const auto& s : plan.exit_storms) {
-    d.mix_size(s.hour);
-    d.mix_size(s.count);
+    d.mix_u64(s.hour);
+    d.mix_u64(s.count);
   }
-  d.mix_size(plan.checkpoint_corruptions.size());
-  for (const auto& c : plan.checkpoint_corruptions) d.mix_size(c.hour);
-  d.mix_size(plan.flash_crowds.size());
+  d.mix_u64(plan.checkpoint_corruptions.size());
+  for (const auto& c : plan.checkpoint_corruptions) d.mix_u64(c.hour);
+  d.mix_u64(plan.flash_crowds.size());
   for (const auto& f : plan.flash_crowds) {
-    d.mix_size(f.start_hour);
-    d.mix_size(f.duration_hours);
+    d.mix_u64(f.start_hour);
+    d.mix_u64(f.duration_hours);
     d.mix_double(f.multiplier);
   }
-  d.mix_size(plan.feed_bursts.size());
+  d.mix_u64(plan.feed_bursts.size());
   for (const auto& b : plan.feed_bursts) {
-    d.mix_size(b.start_hour);
-    d.mix_size(b.duration_hours);
-    d.mix_size(b.updates_per_tick);
+    d.mix_u64(b.start_hour);
+    d.mix_u64(b.duration_hours);
+    d.mix_u64(b.updates_per_tick);
   }
   // Grid-side fault kinds: mixed only when present so a plan without them
   // keeps its pre-coupler digest (resumability across the format change).
   if (!plan.line_outages.empty()) {
-    d.mix_size(plan.line_outages.size());
+    d.mix_u64(plan.line_outages.size());
     for (const auto& o : plan.line_outages) {
-      d.mix_size(o.line);
-      d.mix_size(o.start_hour);
-      d.mix_size(o.duration_hours);
+      d.mix_u64(o.line);
+      d.mix_u64(o.start_hour);
+      d.mix_u64(o.duration_hours);
     }
   }
   if (!plan.grid_demand_shocks.empty()) {
-    d.mix_size(plan.grid_demand_shocks.size());
+    d.mix_u64(plan.grid_demand_shocks.size());
     for (const auto& s : plan.grid_demand_shocks) {
-      d.mix_size(s.bus);
-      d.mix_size(s.start_hour);
-      d.mix_size(s.duration_hours);
+      d.mix_u64(s.bus);
+      d.mix_u64(s.start_hour);
+      d.mix_u64(s.duration_hours);
       d.mix_double(s.multiplier);
     }
   }
   if (!plan.congestion_spikes.empty()) {
-    d.mix_size(plan.congestion_spikes.size());
+    d.mix_u64(plan.congestion_spikes.size());
     for (const auto& s : plan.congestion_spikes) {
-      d.mix_size(s.line);
-      d.mix_size(s.start_hour);
-      d.mix_size(s.duration_hours);
+      d.mix_u64(s.line);
+      d.mix_u64(s.start_hour);
+      d.mix_u64(s.duration_hours);
       d.mix_double(s.limit_factor);
     }
   }
 
   d.mix_double(config.fault_rates.outage_rate);
-  d.mix_size(config.fault_rates.outage_mean_hours);
+  d.mix_u64(config.fault_rates.outage_mean_hours);
   d.mix_double(config.fault_rates.stale_rate);
-  d.mix_size(config.fault_rates.stale_mean_hours);
+  d.mix_u64(config.fault_rates.stale_mean_hours);
   d.mix_double(config.fault_rates.shock_rate);
-  d.mix_size(config.fault_rates.shock_mean_hours);
+  d.mix_u64(config.fault_rates.shock_mean_hours);
   d.mix_double(config.fault_rates.shock_multiplier);
   d.mix_double(config.fault_rates.squeeze_rate);
-  d.mix_size(config.fault_rates.squeeze_mean_hours);
+  d.mix_u64(config.fault_rates.squeeze_mean_hours);
   d.mix_double(config.fault_rates.squeeze_ms);
   d.mix_double(config.fault_rates.crash_rate);
 
@@ -361,18 +342,18 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
     d.mix_bool(mc.enabled);
     d.mix_bool(mc.plan_closed_loop);
     d.mix_double(mc.loop.feedback_gain);
-    d.mix_size(mc.loop.max_iters);
+    d.mix_u64(mc.loop.max_iters);
     d.mix_double(mc.loop.epsilon_mw);
     d.mix_double(mc.loop.price_tol);
     d.mix_double(mc.loop.smoothing_alpha);
     d.mix_double(mc.loop.trust_region_mw);
     d.mix_double(mc.loop.hysteresis_frac);
     d.mix_u64(static_cast<std::uint64_t>(mc.damping));
-    d.mix_size(mc.deescalate_after);
-    d.mix_size(mc.breaker_trip_after);
-    d.mix_size(mc.breaker_cooldown_hours);
+    d.mix_u64(mc.deescalate_after);
+    d.mix_u64(mc.breaker_trip_after);
+    d.mix_u64(mc.breaker_cooldown_hours);
     d.mix_double(mc.breaker_cooldown_multiplier);
-    d.mix_size(mc.breaker_cooldown_max_hours);
+    d.mix_u64(mc.breaker_cooldown_max_hours);
   }
 
   return d.hash;
@@ -600,37 +581,46 @@ bool any_checkpoint_generation_exists(const std::string& path,
   return false;
 }
 
-CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
-                                              std::size_t keep_generations,
-                                              std::uint64_t expected_digest) {
-  CheckpointLoadReport report;
+std::size_t load_newest_generation(
+    const std::string& path, std::size_t keep_generations,
+    std::string_view what, std::vector<std::string>& skipped,
+    const std::function<bool(const std::string& gen_path)>& try_load) {
   const std::size_t gens = keep_generations == 0 ? 1 : keep_generations;
   for (std::size_t g = 0; g < gens; ++g) {
     const std::string gen_path = util::Journal::generation_path(path, g);
     if (!checkpoint_exists(gen_path)) {
-      report.skipped.push_back(gen_path + ": missing");
+      skipped.push_back(gen_path + ": missing");
       continue;
     }
     try {
-      CheckpointState state = load_checkpoint(gen_path);
-      if (state.config_digest != expected_digest) {
-        report.skipped.push_back(gen_path +
-                                 ": config digest mismatch (checkpoint from a "
-                                 "different configuration)");
-        continue;
-      }
-      report.state = std::move(state);
-      report.generation = g;
-      return report;
+      if (try_load(gen_path)) return g;
+      skipped.push_back(gen_path + ": config digest mismatch (" +
+                        std::string(what) +
+                        " from a different configuration)");
     } catch (const std::exception& e) {
-      report.skipped.push_back(gen_path + ": " + e.what());
+      skipped.push_back(gen_path + ": " + e.what());
     }
   }
   std::string detail;
-  for (const std::string& s : report.skipped) detail += "\n  " + s;
-  throw std::runtime_error(
-      "checkpoint: no viable generation among the newest " +
-      std::to_string(gens) + detail);
+  for (const std::string& s : skipped) detail += "\n  " + s;
+  throw std::runtime_error(std::string(what) +
+                           ": no viable generation among the newest " +
+                           std::to_string(gens) + detail);
+}
+
+CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
+                                              std::size_t keep_generations,
+                                              std::uint64_t expected_digest) {
+  CheckpointLoadReport report;
+  report.generation = load_newest_generation(
+      path, keep_generations, "checkpoint", report.skipped,
+      [&](const std::string& gen_path) {
+        CheckpointState state = load_checkpoint(gen_path);
+        if (state.config_digest != expected_digest) return false;
+        report.state = std::move(state);
+        return true;
+      });
+  return report;
 }
 
 }  // namespace billcap::core

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/market_feed.hpp"
@@ -112,6 +115,23 @@ struct CheckpointLoadReport {
 /// or any of "<path>.1" ... "<path>.<K-1>").
 bool any_checkpoint_generation_exists(const std::string& path,
                                       std::size_t keep_generations) noexcept;
+
+/// The newest-first scan over a rotated generation set that both durable
+/// formats (this month checkpoint and the serve journal) resume through.
+/// Calls `try_load(gen_path)` on "<path>", "<path>.1", ... in turn (up to
+/// `keep_generations`, 0 counting as 1) and returns the index of the first
+/// generation it accepts. `try_load` stores the state itself and returns
+/// true, returns false when the generation's config digest belongs to
+/// another configuration, or throws when it is corrupted. Every passed-over
+/// generation appends one line to `skipped`: "<gen_path>: missing",
+/// "<gen_path>: config digest mismatch (<what> from a different
+/// configuration)" or "<gen_path>: <exception message>". Throws
+/// std::runtime_error("<what>: no viable generation among the newest N",
+/// followed by the skip lines) when none is accepted.
+std::size_t load_newest_generation(
+    const std::string& path, std::size_t keep_generations,
+    std::string_view what, std::vector<std::string>& skipped,
+    const std::function<bool(const std::string& gen_path)>& try_load);
 
 /// Scans generations newest-first and returns the first one that loads
 /// cleanly AND matches `expected_digest`; corrupted, truncated, missing or

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/presolve.hpp"
-
 namespace billcap::lp {
 
 namespace {
@@ -30,7 +28,8 @@ constexpr double kStablePivot = 1e-7;
 }  // namespace
 
 /// All solver state lives here, in flat capacity-reserved storage. The
-/// tableau layout matches the legacy simplex exactly — columns
+/// tableau layout matches the legacy simplex (the test oracle in
+/// tests/oracle/simplex.cpp) exactly — columns
 /// [structural | slack/surplus | artificial | rhs], rows normalized to
 /// rhs >= 0 at build time — so the cold path reproduces the legacy engine's
 /// pivot sequence bit for bit, and the columns that started as the identity
@@ -823,7 +822,7 @@ struct ArenaSolver::Impl {
     return true;
   }
 
-  Solution solve_core(const Problem& problem, const MilpOptions& options) {
+  Solution solve(const Problem& problem, const MilpOptions& options) {
     const bool maximize = problem.sense() == Sense::kMaximize;
     const auto to_min = [maximize](double obj) { return maximize ? -obj : obj; };
     iterations_this_solve = 0;
@@ -1123,6 +1122,26 @@ struct ArenaSolver::Impl {
                                        : SolveStatus::kNodeLimit;
     }
 
+    // ---- duals: a pure LP's optimal tableau is still resident -----------
+    // The legacy readout: y_r is minus the reduced cost of row r's identity
+    // column, negated for a row flipped at build time and again for a
+    // maximize objective. The cold path shares the legacy layout and pivot
+    // sequence, so these match the legacy engine's duals bit for bit. MILPs
+    // report none (a node's duals say nothing about the integer optimum).
+    if (int_vars.empty() && best.status == SolveStatus::kOptimal) {
+      best.duals.assign(static_cast<std::size_t>(problem.num_constraints()),
+                        0.0);
+      for (int r = 0; r < m; ++r) {
+        const RowMeta& rm = rows[static_cast<std::size_t>(r)];
+        if (rm.orig_row < 0) continue;
+        double y = -cost_row[static_cast<std::size_t>(
+            identity_col[static_cast<std::size_t>(r)])];
+        if (rm.flipped) y = -y;
+        if (maximize) y = -y;
+        best.duals[static_cast<std::size_t>(rm.orig_row)] = y;
+      }
+    }
+
     // ---- remember the winning integer pattern for the next seed ---------
     if (config.warm_across_solves &&
         best.status == SolveStatus::kOptimal) {
@@ -1152,26 +1171,6 @@ struct ArenaSolver::Impl {
     return best;
   }
 
-  Solution solve(const Problem& problem, const MilpOptions& options) {
-    if (!config.use_presolve) return solve_core(problem, options);
-
-    const PresolveResult pre = presolve(problem);
-    if (pre.infeasible) {
-      Solution sol;
-      sol.status = SolveStatus::kInfeasible;
-      return sol;
-    }
-    Solution sol = solve_core(pre.reduced, options);
-    if (!sol.x.empty()) {
-      sol.x = pre.restore(sol.x);
-      if (sol.has_incumbent()) sol.objective = problem.objective_value(sol.x);
-    } else if (sol.ok() || sol.has_incumbent()) {
-      // A fully presolved-away problem solves with an empty reduced x.
-      sol.x = pre.restore(std::span<const double>{});
-      sol.objective = problem.objective_value(sol.x);
-    }
-    return sol;
-  }
 };
 
 ArenaSolver::ArenaSolver(ArenaConfig config)

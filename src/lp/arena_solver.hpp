@@ -24,11 +24,6 @@ struct ArenaConfig {
   /// process remain fully deterministic.
   bool warm_across_solves = false;
 
-  /// Run the lp presolve pass (singleton rows, fixed variables) before the
-  /// branch-and-bound. Off by default for exact parity with the legacy
-  /// engine; the differential suite exercises both settings.
-  bool use_presolve = false;
-
   /// Hard cap on the arena footprint in bytes (tableau + node pool).
   /// 0 = unlimited: the arena is re-reserved between solves as shapes
   /// require and never grows inside the simplex loop. When the cap is set,
@@ -63,7 +58,12 @@ struct ArenaStats {
 /// swapped in through B^-1 and repaired dual. Every warm path falls back
 /// to the cold two-phase solve when basis repair fails, so results match
 /// the legacy engine's statuses and objectives (the differential suite in
-/// tests/lp/solver_differential_test.cpp pins this to 1e-9).
+/// tests/lp/solver_differential_test.cpp pins this to 1e-9 against the
+/// test-only oracle library in tests/oracle/).
+///
+/// This is the only LP engine the libraries ship: the hourly MILPs and the
+/// DC-OPF (market::solve_dcopf, which reads LMPs from the duals) both run
+/// on it.
 ///
 /// Not thread-safe: one ArenaSolver per thread (the warm state is the
 /// point of the class).
@@ -80,9 +80,14 @@ class ArenaSolver {
 
   /// Solves `problem` (MILP via branch-and-bound; a problem without
   /// integer marks is solved at the root only). Status semantics mirror
-  /// lp::solve_milp_reference: kOptimal/kInfeasible/kUnbounded, kNodeLimit
-  /// and kTimeLimit with the best incumbent, plus kArenaExhausted when a
-  /// configured byte cap would be exceeded. Duals are not populated.
+  /// the legacy branch-and-bound: kOptimal/kInfeasible/kUnbounded,
+  /// kNodeLimit and kTimeLimit with the best incumbent, plus
+  /// kArenaExhausted when a configured byte cap would be exceeded.
+  ///
+  /// A problem without integer marks that solves to kOptimal also carries
+  /// one dual per constraint, oriented so that duals[i] is the sensitivity
+  /// d(objective)/d(rhs_i) in the problem's own sense (for the DC-OPF these
+  /// are the LMPs). MILPs return no duals.
   Solution solve(const Problem& problem, const MilpOptions& options = {});
 
   /// Drops any warm state; the next solve starts cold. Also called

@@ -3,9 +3,21 @@
 #include <cstddef>
 
 #include "lp/problem.hpp"
-#include "lp/simplex.hpp"
 
 namespace billcap::lp {
+
+/// Tuning knobs for the simplex iterations of one LP solve. Defaults are
+/// appropriate for the dense, small-to-medium problems this repository
+/// generates (tens to a few hundred rows).
+struct SimplexOptions {
+  long max_iterations = 50'000;   ///< pivot limit before kIterationLimit
+  double pivot_tol = 1e-9;        ///< minimum |pivot| accepted
+  double feasibility_tol = 1e-7;  ///< phase-1 residual treated as zero
+  double optimality_tol = 1e-9;   ///< reduced cost treated as nonnegative
+  /// Pivots without objective improvement before switching to Bland's rule
+  /// (guaranteed anti-cycling).
+  long stall_threshold = 200;
+};
 
 /// Tuning knobs for branch-and-bound. Defaults comfortably cover the paper's
 /// problems (3 data centers x 5 price levels => ~20 binaries).
@@ -39,19 +51,12 @@ struct MilpOptions {
 /// gap, and `nodes`/`iterations` report search effort. Duals are not
 /// populated for MILPs.
 ///
-/// Since the arena-solver rewrite this entry point runs lp::ArenaSolver
-/// (one solve-local instance: B&B children warm start from the parent
-/// basis via dual simplex; no state survives the call, so results stay a
-/// pure function of the inputs). The original stack-of-Problem-copies
-/// engine remains available as solve_milp_reference and is held equal to
-/// the arena path by tests/lp/solver_differential_test.cpp.
+/// This entry point runs lp::ArenaSolver (one solve-local instance: B&B
+/// children warm start from the parent basis via dual simplex; no state
+/// survives the call, so results stay a pure function of the inputs). The
+/// original stack-of-Problem-copies engine lives on only as a test oracle
+/// (tests/oracle/milp_reference.hpp), held equal to this path by
+/// tests/lp/solver_differential_test.cpp.
 Solution solve_milp(const Problem& problem, const MilpOptions& options = {});
-
-/// The pre-arena branch-and-bound engine (a fresh two-phase simplex per
-/// node). Kept as the independent oracle for the differential test harness
-/// and as a fallback reference for debugging; production callers use
-/// solve_milp.
-Solution solve_milp_reference(const Problem& problem,
-                              const MilpOptions& options = {});
 
 }  // namespace billcap::lp

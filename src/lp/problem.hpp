@@ -84,7 +84,7 @@ class Problem {
   /// resulting interval is empty beyond tolerance.
   void set_bounds(int var, double lower, double upper);
 
-  /// Marks or unmarks a variable as integer (used by the LP-format parser).
+  /// Marks or unmarks a variable as integer.
   void set_integer(int var, bool is_integer);
 
   int num_variables() const noexcept { return static_cast<int>(vars_.size()); }

@@ -4,11 +4,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "lp/simplex.hpp"
+#include "lp/arena_solver.hpp"
 
 namespace billcap::market {
 
-DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
+DcOpfLp build_dcopf_lp(const Grid& grid, std::span<const double> load_mw) {
   const int nb = grid.num_buses();
   const int nl = grid.num_lines();
   const int ng = grid.num_generators();
@@ -17,11 +17,13 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
   if (nb == 0 || ng == 0)
     throw std::invalid_argument("solve_dcopf: need buses and generators");
 
-  lp::Problem p;
+  DcOpfLp opf;
+  lp::Problem& p = opf.problem;
   p.set_sense(lp::Sense::kMinimize);
 
   // Generator dispatch variables.
-  std::vector<int> gen_var(static_cast<std::size_t>(ng));
+  std::vector<int>& gen_var = opf.gen_var;
+  gen_var.resize(static_cast<std::size_t>(ng));
   for (int g = 0; g < ng; ++g) {
     const Generator& gen = grid.generator(g);
     gen_var[static_cast<std::size_t>(g)] = p.add_variable(
@@ -29,7 +31,8 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
   }
 
   // Bus angles; the slack bus (0) is pinned at zero.
-  std::vector<int> theta_var(static_cast<std::size_t>(nb));
+  std::vector<int>& theta_var = opf.theta_var;
+  theta_var.resize(static_cast<std::size_t>(nb));
   for (int b = 0; b < nb; ++b) {
     const bool slack = (b == 0);
     theta_var[static_cast<std::size_t>(b)] = p.add_variable(
@@ -38,7 +41,8 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
   }
 
   // Line flows as explicit variables tied to the angle difference.
-  std::vector<int> flow_var(static_cast<std::size_t>(nl));
+  std::vector<int>& flow_var = opf.flow_var;
+  flow_var.resize(static_cast<std::size_t>(nl));
   for (int l = 0; l < nl; ++l) {
     const Line& line = grid.line(l);
     const double cap =
@@ -59,7 +63,8 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
 
   // Nodal balance per bus: generation - net outflow = load. The dual of
   // this row is the bus LMP.
-  std::vector<int> balance_row(static_cast<std::size_t>(nb));
+  std::vector<int>& balance_row = opf.balance_row;
+  balance_row.resize(static_cast<std::size_t>(nb));
   for (int b = 0; b < nb; ++b) {
     std::vector<lp::Term> terms;
     for (int g = 0; g < ng; ++g)
@@ -80,7 +85,17 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
         load_mw[static_cast<std::size_t>(b)]);
   }
 
-  const lp::Solution sol = lp::solve_lp(p);
+  return opf;
+}
+
+DcOpfResult read_dcopf_solution(const DcOpfLp& opf, const lp::Solution& sol) {
+  const std::vector<int>& gen_var = opf.gen_var;
+  const std::vector<int>& flow_var = opf.flow_var;
+  const std::vector<int>& theta_var = opf.theta_var;
+  const std::vector<int>& balance_row = opf.balance_row;
+  const int ng = static_cast<int>(gen_var.size());
+  const int nl = static_cast<int>(flow_var.size());
+  const int nb = static_cast<int>(theta_var.size());
   DcOpfResult out;
   out.status = sol.status;
   if (!sol.ok()) return out;
@@ -103,6 +118,15 @@ DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
         sol.duals[static_cast<std::size_t>(balance_row[static_cast<std::size_t>(b)])];
   }
   return out;
+}
+
+DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw) {
+  const DcOpfLp opf = build_dcopf_lp(grid, load_mw);
+  // A pure LP: the arena solves it at the root and reads the balance-row
+  // duals off its final tableau. A fresh solver per call keeps the OPF a
+  // pure function of (grid, load).
+  lp::ArenaSolver solver;
+  return read_dcopf_solution(opf, solver.solve(opf.problem));
 }
 
 DcOpfReport analyze_opf(const Grid& grid, const DcOpfResult& result,

@@ -25,12 +25,31 @@ struct DcOpfResult {
 ///   s.t. per-bus balance:  sum_{g at b} P_g - sum_l A_{bl} f_l = load_b
 ///        f_l = (theta_from - theta_to) / x_l,   |f_l| <= limit_l,
 ///        0 <= P_g <= cap_g,  theta_slack = 0
-/// with the B-theta formulation, using the repository's own simplex. The
-/// locational marginal price at each bus is read directly from the dual of
-/// that bus's balance constraint — the mechanism behind the step pricing
+/// with the B-theta formulation, solved by lp::ArenaSolver. The locational
+/// marginal price at each bus is read directly from the dual of that bus's
+/// balance constraint — the mechanism behind the step pricing
 /// policies of Section II: every time an additional generator or line limit
 /// becomes binding as load grows, the LMP vector jumps.
 DcOpfResult solve_dcopf(const Grid& grid, std::span<const double> load_mw);
+
+/// The DC-OPF as an LP, with the indices solve_dcopf reads the result
+/// back through. Exposed so a test can solve the very same problem with an
+/// independent engine.
+struct DcOpfLp {
+  lp::Problem problem;
+  std::vector<int> gen_var;      ///< per generator: dispatch variable
+  std::vector<int> theta_var;    ///< per bus: voltage-angle variable
+  std::vector<int> flow_var;     ///< per line: flow variable
+  std::vector<int> balance_row;  ///< per bus: balance row (dual = LMP)
+};
+
+/// The LP solve_dcopf solves. Throws std::invalid_argument on a load vector
+/// of the wrong size, an empty grid or an isolated loaded bus.
+DcOpfLp build_dcopf_lp(const Grid& grid, std::span<const double> load_mw);
+
+/// Maps a solution of `opf.problem` (primal values and balance-row duals)
+/// back to a DcOpfResult; a non-optimal solution yields only its status.
+DcOpfResult read_dcopf_solution(const DcOpfLp& opf, const lp::Solution& sol);
 
 /// A constraint that is binding at the OPF optimum — the events that
 /// create new price levels as load grows (Section II: "a step change

@@ -1,7 +1,6 @@
 #include "serve/serve_loop.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -18,6 +17,7 @@
 #include "core/market_feed.hpp"
 #include "lp/problem.hpp"
 #include "market/closed_loop.hpp"
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
 namespace billcap::serve {
@@ -25,31 +25,6 @@ namespace billcap::serve {
 namespace keys = core::keys;
 
 namespace {
-
-// ---- digest ---------------------------------------------------------------
-
-/// FNV-1a continuation mixer (same scheme as core/checkpoint.cpp's): the
-/// serve digest starts from the batch config digest and folds in every
-/// serve knob that changes decisions, so a serve checkpoint can be resumed
-/// only under the exact configuration that wrote it.
-struct Digest {
-  std::uint64_t hash;
-
-  explicit Digest(std::uint64_t seed) noexcept : hash(seed) {}
-
-  void mix_u64(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void mix_size(std::size_t value) noexcept {
-    mix_u64(static_cast<std::uint64_t>(value));
-  }
-  void mix_double(double value) noexcept {
-    mix_u64(std::bit_cast<std::uint64_t>(value));
-  }
-};
 
 // ---- durable state --------------------------------------------------------
 
@@ -257,38 +232,22 @@ struct ServeLoadReport {
   std::vector<std::string> skipped;
 };
 
-/// Newest-first generation scan, exactly like core::load_checkpoint_fallback
-/// but against the serve journal format.
+/// The serve journal's generation scan: core::load_newest_generation with
+/// the digest read before the state is decoded.
 ServeLoadReport load_state_fallback(const std::string& path, std::size_t gens,
                                     std::uint64_t expected_digest) {
   ServeLoadReport report;
-  for (std::size_t g = 0; g < gens; ++g) {
-    const std::string gen_path = util::Journal::generation_path(path, g);
-    if (!core::checkpoint_exists(gen_path)) {
-      report.skipped.push_back(gen_path + ": missing");
-      continue;
-    }
-    try {
-      const util::Journal j = util::Journal::load(
-          gen_path, keys::kServeCheckpointMagic, keys::kServeCheckpointVersion);
-      if (j.get_u64(keys::kConfigDigest) != expected_digest) {
-        report.skipped.push_back(gen_path +
-                                 ": config digest mismatch (serve checkpoint "
-                                 "from a different configuration)");
-        continue;
-      }
-      report.state = decode_state(j);
-      report.generation = g;
-      return report;
-    } catch (const std::exception& e) {
-      report.skipped.push_back(gen_path + ": " + e.what());
-    }
-  }
-  std::string detail;
-  for (const std::string& s : report.skipped) detail += "\n  " + s;
-  throw std::runtime_error(
-      "serve checkpoint: no viable generation among the newest " +
-      std::to_string(gens) + detail);
+  report.generation = core::load_newest_generation(
+      path, gens, "serve checkpoint", report.skipped,
+      [&](const std::string& gen_path) {
+        const util::Journal j =
+            util::Journal::load(gen_path, keys::kServeCheckpointMagic,
+                                keys::kServeCheckpointVersion);
+        if (j.get_u64(keys::kConfigDigest) != expected_digest) return false;
+        report.state = decode_state(j);
+        return true;
+      });
+  return report;
 }
 
 }  // namespace
@@ -343,27 +302,30 @@ ServeLoop::ServeLoop(const core::Simulator& sim, ServeConfig config)
   ordinary_cap_ =
       std::max(config_.ordinary_queue_ticks * split.ordinary(mean), 1.0);
 
-  Digest d(core::checkpoint_digest(sim_.config(),
-                                   core::Strategy::kCostCapping));
-  d.mix_size(config_.ticks_per_hour);
-  d.mix_size(horizon_hours_);
+  // The serve digest continues from the batch config digest and folds in
+  // every serve knob that changes decisions, so a serve checkpoint can be
+  // resumed only under the exact configuration that wrote it.
+  util::Fnv1a d(core::checkpoint_digest(sim_.config(),
+                                        core::Strategy::kCostCapping));
+  d.mix_u64(config_.ticks_per_hour);
+  d.mix_u64(horizon_hours_);
   d.mix_double(config_.premium_queue_ticks);
   d.mix_double(config_.ordinary_queue_ticks);
-  d.mix_size(config_.feed_queue_capacity);
-  d.mix_size(config_.feed_updates_per_tick);
+  d.mix_u64(config_.feed_queue_capacity);
+  d.mix_u64(config_.feed_updates_per_tick);
   d.mix_double(config_.admission.shed_enter_fill);
   d.mix_double(config_.admission.shed_exit_fill);
   d.mix_double(config_.admission.standby_enter_fill);
   d.mix_double(config_.admission.standby_exit_fill);
-  d.mix_size(config_.admission.stale_ticks_tolerated);
-  d.mix_size(config_.breaker.trip_after);
-  d.mix_size(config_.breaker.cooldown_ticks);
+  d.mix_u64(config_.admission.stale_ticks_tolerated);
+  d.mix_u64(config_.breaker.trip_after);
+  d.mix_u64(config_.breaker.cooldown_ticks);
   d.mix_double(config_.breaker.cooldown_multiplier);
-  d.mix_size(config_.breaker.cooldown_max_ticks);
+  d.mix_u64(config_.breaker.cooldown_max_ticks);
   d.mix_u64(static_cast<std::uint64_t>(config_.replan_node_budget));
   d.mix_double(config_.replan_deadline_ms);
-  d.mix_size(config_.kill_at_ticks.size());
-  for (std::size_t k : config_.kill_at_ticks) d.mix_size(k);
+  d.mix_u64(config_.kill_at_ticks.size());
+  for (std::size_t k : config_.kill_at_ticks) d.mix_u64(k);
   // `standby` is deliberately NOT mixed: a standby attempt must be able to
   // pick up the primary's checkpoint and vice versa.
   digest_ = d.hash;

@@ -12,19 +12,17 @@
 #include <unistd.h>
 #endif
 
+#include "util/fnv1a.hpp"
+
 namespace billcap::util {
 
 namespace {
 
-/// FNV-1a over the journal payload; cheap, stable, and plenty to catch
-/// truncation and bit rot (this is an integrity check, not authentication).
-std::uint64_t fnv1a(std::string_view data) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+/// FNV-1a over the journal payload: plenty to catch truncation and bit rot.
+std::uint64_t checksum(std::string_view data) noexcept {
+  Fnv1a fnv;
+  fnv.mix_bytes(data);
+  return fnv.hash;
 }
 
 std::uint64_t parse_hex_u64(std::string_view text) {
@@ -149,7 +147,7 @@ Journal Journal::parse(std::string_view text, std::string_view expected_magic,
   const std::string_view payload = text.substr(0, marker);
   const std::uint64_t stated =
       parse_hex_u64(checksum_line.substr(std::string_view("checksum ").size()));
-  if (stated != fnv1a(payload))
+  if (stated != checksum(payload))
     throw std::runtime_error("Journal: checksum mismatch (corrupted file)");
 
   // Header: "<magic> v<version>".
@@ -219,7 +217,7 @@ void append_double_bits(std::string& out, double value) {
 
 void append_checksum(std::string& out) {
   char hex[kDoubleBitsChars];
-  write_hex_u64(hex, fnv1a(out));
+  write_hex_u64(hex, checksum(out));
   out += "checksum ";
   out.append(hex, sizeof(hex));
   out += '\n';

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "datacenter/catalog.hpp"
-#include "lp/simplex.hpp"
+#include "lp/milp.hpp"
 #include "market/pricing_policy.hpp"
 
 namespace billcap::core {

@@ -6,9 +6,6 @@
 #include "core/cost_model.hpp"
 #include "core/simulator.hpp"
 #include "datacenter/catalog.hpp"
-#include "lp/lp_io.hpp"
-#include "lp/milp.hpp"
-#include "lp/presolve.hpp"
 #include "market/pricing_policy.hpp"
 #include "util/thread_pool.hpp"
 
@@ -101,56 +98,6 @@ TEST(RobustnessTest, InvariantsHoldAcrossSeeds) {
       EXPECT_LE(h.served_premium, h.premium_arrivals + 1.0);
     }
   }
-}
-
-TEST(RobustnessTest, PaperMilpSurvivesLpFormatRoundTrip) {
-  // Cross-module: the actual step-1 formulation, serialized to CPLEX-LP
-  // text, parsed back, and re-solved to the same optimum.
-  const auto sites = datacenter::paper_datacenters();
-  const auto policies = market::paper_policies(1);
-  std::vector<SiteModel> models;
-  const std::vector<double> demand = {228.0, 182.0, 172.0};
-  for (std::size_t i = 0; i < sites.size(); ++i)
-    models.push_back(make_site_model(sites[i], policies[i], demand[i], true));
-  AllocationFormulation f = build_allocation_formulation(models);
-  std::vector<lp::Term> demand_terms;
-  for (const SiteVars& v : f.vars) demand_terms.push_back({v.lambda, 1.0});
-  f.problem.add_constraint("demand", std::move(demand_terms),
-                           lp::Relation::kEqual, 600.0);
-
-  const lp::Solution direct = lp::solve_milp(f.problem);
-  const lp::Problem parsed =
-      lp::parse_lp_format(lp::write_lp_format(f.problem));
-  const lp::Solution reparsed = lp::solve_milp(parsed);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_NEAR(direct.objective, reparsed.objective,
-              1e-6 * std::max(1.0, direct.objective));
-}
-
-TEST(RobustnessTest, PaperMilpSurvivesPresolve) {
-  // presolve + branch-and-bound equals direct branch-and-bound on the real
-  // formulation.
-  const auto sites = datacenter::paper_datacenters();
-  const auto policies = market::paper_policies(2);
-  std::vector<SiteModel> models;
-  const std::vector<double> demand = {240.0, 200.0, 190.0};
-  for (std::size_t i = 0; i < sites.size(); ++i)
-    models.push_back(make_site_model(sites[i], policies[i], demand[i], true));
-  AllocationFormulation f = build_allocation_formulation(models);
-  std::vector<lp::Term> demand_terms;
-  for (const SiteVars& v : f.vars) demand_terms.push_back({v.lambda, 1.0});
-  f.problem.add_constraint("demand", std::move(demand_terms),
-                           lp::Relation::kEqual, 900.0);
-
-  const lp::Solution direct = lp::solve_milp(f.problem);
-  const lp::PresolveResult pre = lp::presolve(f.problem);
-  ASSERT_FALSE(pre.infeasible);
-  const lp::Solution reduced = lp::solve_milp(pre.reduced);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(reduced.ok());
-  EXPECT_NEAR(direct.objective, reduced.objective,
-              1e-6 * std::max(1.0, direct.objective));
 }
 
 TEST(RobustnessTest, ExtremePolicyLevelsStayConsistent) {

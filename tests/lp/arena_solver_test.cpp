@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "lp/milp.hpp"
+#include "oracle/milp_reference.hpp"
 
 namespace billcap::lp {
 namespace {
@@ -160,20 +161,6 @@ TEST(ArenaSolverTest, WarmNeverSilentlySuboptimalUnderRandomDrift) {
     ASSERT_EQ(got.status, want.status) << "k=" << k;
     if (want.status == SolveStatus::kOptimal) {
       EXPECT_NEAR(got.objective, want.objective, 1e-9) << "k=" << k;
-    }
-  }
-}
-
-TEST(ArenaSolverTest, PresolveConfigAgreesWithDirectSolve) {
-  ArenaSolver with(ArenaConfig{.use_presolve = true});
-  ArenaSolver without;
-  for (int k = 0; k < 10; ++k) {
-    const Problem p = three_var_problem(1.0 + k);
-    const Solution a = with.solve(p);
-    const Solution b = without.solve(p);
-    ASSERT_EQ(a.status, b.status) << k;
-    if (a.status == SolveStatus::kOptimal) {
-      EXPECT_NEAR(a.objective, b.objective, 1e-9) << k;
     }
   }
 }

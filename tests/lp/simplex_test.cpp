@@ -1,4 +1,4 @@
-#include "lp/simplex.hpp"
+#include "oracle/simplex.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,12 @@
 // Differential test harness for the arena solver: lp::ArenaSolver against
-// the legacy engine (solve_milp_reference) over seeded random LPs/MILPs of
-// every status class plus the paper's real hourly problems. Both the cold
-// path (a fresh arena per problem) and the warm path (one arena carried
-// across a structurally coherent sequence, warm_across_solves on) must
-// agree with the reference on status and, when optimal, on the objective
-// to 1e-9 relative. Well over 200 instances run per suite invocation.
+// the legacy engine kept as a test oracle (solve_milp_reference and
+// solve_lp, tests/oracle/) over seeded random LPs/MILPs of every status
+// class plus the paper's real hourly problems. Both the cold path (a fresh
+// arena per problem) and the warm path (one arena carried across a
+// structurally coherent sequence, warm_across_solves on) must agree with
+// the reference on status and, when optimal, on the objective to 1e-9
+// relative; on pure LPs the duals must agree too. Well over 200 instances
+// run per suite invocation.
 
 #include "lp/arena_solver.hpp"
 
@@ -20,6 +22,8 @@
 #include "datacenter/catalog.hpp"
 #include "lp/milp.hpp"
 #include "market/pricing_policy.hpp"
+#include "oracle/milp_reference.hpp"
+#include "oracle/simplex.hpp"
 
 namespace billcap::lp {
 namespace {
@@ -176,6 +180,81 @@ TEST(SolverDifferentialTest, InfeasibleAndUnboundedByConstruction) {
     expect_agrees(solve_milp_reference(unb), s2.solve(unb),
                   "constructed unbounded " + std::to_string(k));
   }
+}
+
+/// The LP relaxation of `p`: the same problem with every integrality mark
+/// dropped, so the arena solves it at the root and reports duals.
+Problem relaxed(Problem p) {
+  for (int j = 0; j < p.num_variables(); ++j) p.set_integer(j, false);
+  return p;
+}
+
+/// Pure-LP comparison against the oracle simplex: status, objective and
+/// every dual to 1e-9 relative. Returns whether the oracle found an optimum.
+bool expect_duals_agree(const Problem& lp_problem, const std::string& tag) {
+  const Solution ref = solve_lp(lp_problem);
+  ArenaSolver solver;
+  const Solution arena = solver.solve(lp_problem);
+  expect_agrees(ref, arena, tag);
+  if (ref.status != SolveStatus::kOptimal) {
+    EXPECT_TRUE(arena.duals.empty()) << tag;
+    return false;
+  }
+  EXPECT_EQ(arena.duals.size(), ref.duals.size()) << tag;
+  if (arena.duals.size() != ref.duals.size()) return true;
+  for (std::size_t i = 0; i < ref.duals.size(); ++i)
+    EXPECT_NEAR(ref.duals[i], arena.duals[i],
+                1e-9 * std::max(1.0, std::abs(ref.duals[i])))
+        << tag << ": dual " << i;
+  return true;
+}
+
+TEST(SolverDifferentialTest, RandomLpDualsAgree) {
+  // The relaxations of the random draw (every variable kind, relation and
+  // sense) plus its degenerate family: the duals the arena reads off its
+  // final tableau must be the oracle's.
+  std::mt19937 rng(12345);
+  int optimal = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    if (expect_duals_agree(relaxed(random_problem(rng)),
+                           "lp iter " + std::to_string(iter)))
+      ++optimal;
+  }
+  EXPECT_GT(optimal, 100);
+
+  std::mt19937 drng(4242);
+  std::uniform_real_distribution<double> coef(-2.0, 2.0);
+  std::uniform_int_distribution<int> nv(2, 5), coin(0, 1);
+  for (int iter = 0; iter < 120; ++iter) {
+    Problem p;
+    const int n = nv(drng);
+    for (int j = 0; j < n; ++j) p.add_variable("x", 0.0, 4.0, coef(drng));
+    std::vector<Term> row;
+    for (int j = 0; j < n; ++j) row.push_back({j, coef(drng)});
+    p.add_constraint("a", row, Relation::kLessEqual, 0.0);
+    p.add_constraint("b", row, Relation::kGreaterEqual, 0.0);
+    if (coin(drng) == 0) p.add_constraint("c", row, Relation::kEqual, 0.0);
+    std::vector<Term> cover;
+    for (int j = 0; j < n; ++j) cover.push_back({j, 1.0});
+    p.add_constraint("cover", cover, Relation::kLessEqual, 6.0);
+    if (coin(drng) == 0) p.set_sense(Sense::kMaximize);
+    expect_duals_agree(p, "degenerate lp iter " + std::to_string(iter));
+  }
+}
+
+TEST(SolverDifferentialTest, MilpsReportNoDuals) {
+  std::mt19937 rng(99);
+  int checked = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const Problem p = random_problem(rng);
+    if (!p.has_integers()) continue;
+    ArenaSolver solver;
+    const Solution arena = solver.solve(p);
+    if (arena.status != SolveStatus::kOptimal) continue;
+    EXPECT_TRUE(arena.duals.empty()) << "milp iter " << iter;
+    ++checked;
+  }
+  EXPECT_GT(checked, 10);
 }
 
 class RealHourlyDifferentialTest : public ::testing::Test {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
+
+#include "market/pjm5.hpp"
+#include "oracle/simplex.hpp"
 
 namespace billcap::market {
 namespace {
@@ -128,6 +135,57 @@ TEST(DcOpfTest, LmpIsMarginalCostOfLoad) {
   const auto pert = solve_dcopf(g, std::vector<double>{0.0, 70.0 + eps});
   ASSERT_TRUE(pert.ok());
   EXPECT_NEAR((pert.total_cost - base.total_cost) / eps, base.lmp[1], 1e-4);
+}
+
+/// Bitwise equality of two vectors of doubles (EXPECT_EQ on a double would
+/// let -0.0 and 0.0 pass for one another).
+void expect_bitwise(const std::vector<double>& want,
+                    const std::vector<double>& got, const std::string& tag) {
+  ASSERT_EQ(want.size(), got.size()) << tag;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << tag << " [" << i << "]: " << want[i] << " vs " << got[i];
+}
+
+/// solve_dcopf (the arena solver) against the oracle simplex on the same
+/// LP: equal status and bitwise-equal cost, dispatch, flows and LMPs.
+void expect_matches_oracle(const Grid& grid, const std::vector<double>& loads,
+                           const std::string& tag, int& optimal) {
+  const DcOpfResult got = solve_dcopf(grid, loads);
+  const DcOpfLp opf = build_dcopf_lp(grid, loads);
+  const DcOpfResult want = read_dcopf_solution(opf, lp::solve_lp(opf.problem));
+  ASSERT_EQ(want.status, got.status) << tag;
+  if (!want.ok()) return;
+  ++optimal;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.total_cost),
+            std::bit_cast<std::uint64_t>(got.total_cost))
+      << tag << ": cost " << want.total_cost << " vs " << got.total_cost;
+  expect_bitwise(want.dispatch_mw, got.dispatch_mw, tag + " dispatch");
+  expect_bitwise(want.flow_mw, got.flow_mw, tag + " flow");
+  expect_bitwise(want.lmp, got.lmp, tag + " lmp");
+}
+
+TEST(DcOpfTest, ArenaMatchesOracleSimplexBitwise) {
+  // 1,000 system loads on the PJM five-bus sweep (past its 1,530 MW of
+  // generation, so infeasible hours are compared too) and 1,000 random
+  // per-bus load vectors, which exercise congestion patterns the uniform
+  // sweep never reaches.
+  const Grid grid = pjm5_grid();
+  int optimal = 0;
+  for (int k = 0; k < 1000; ++k)
+    expect_matches_oracle(grid, pjm5_loads(1.7 * k),
+                          "sweep " + std::to_string(1.7 * k) + " MW",
+                          optimal);
+  std::mt19937 rng(2012);
+  std::uniform_real_distribution<double> bus_load(0.0, 400.0);
+  for (int k = 0; k < 1000; ++k) {
+    std::vector<double> loads(static_cast<std::size_t>(grid.num_buses()));
+    for (double& l : loads) l = bus_load(rng);
+    expect_matches_oracle(grid, loads, "random " + std::to_string(k),
+                          optimal);
+  }
+  EXPECT_GT(optimal, 1500);
 }
 
 TEST(OpfReportTest, RejectsNonOptimalResult) {

@@ -1,4 +1,4 @@
-#include "queueing/des.hpp"
+#include "oracle/des.hpp"
 
 #include <gtest/gtest.h>
 

@@ -21,6 +21,8 @@
 //                      [--bg-shock bus:start:dur:mult,...]
 //                      [--congestion-spike l:start:dur:factor,...]
 //   billcap serve      [simulate config/fault flags...]
+//                      [--flash-crowds start:dur:mult,...]
+//                      [--feed-bursts start:dur:updates,...]
 //                      [--ticks-per-hour T] [--hours H]
 //                      [--premium-queue-ticks Q] [--ordinary-queue-ticks Q]
 //                      [--feed-queue N] [--feed-drain N] [--stale-ticks N]
@@ -1069,6 +1071,10 @@ int cmd_help() {
       "            --kill-at-ticks t1,t2,... --die-on-kill (injected daemon\n"
       "            deaths) --checkpoint --resume --keep-generations --csv\n"
       "            --standby [--standby-hours N] --min-premium r\n"
+      "            overload drills: --flash-crowds start:dur:mult,...\n"
+      "            (fleet-wide arrival surge) --feed-bursts\n"
+      "            start:dur:updates,... (mid-hour price updates per tick);\n"
+      "            simulate accepts both and its hourly loop ignores them\n"
       "  supervise watchdog around simulate (or the serving daemon with\n"
       "            --serve): forks the controller, restarts\n"
       "            abnormal exits with a budget (--restart-budget\n"
