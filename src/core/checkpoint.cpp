@@ -385,14 +385,36 @@ void CheckpointWriter::sync_hours(const std::vector<HourRecord>& hours) {
 }
 
 const std::string& CheckpointWriter::encode(const CheckpointState& state) {
-  const MonthlyResult& r = state.partial;
-  sync_hours(r.hours);
-
-  std::string& out = text_;
-  out.clear();
-  out.reserve(hour_lines_.size() + 4096);
-  util::journal_text::append_header(out, keys::kCheckpointMagic,
+  sync_hours(state.partial.hours);
+  text_.clear();
+  text_.reserve(hour_lines_.size() + 4096);
+  util::journal_text::append_header(text_, keys::kCheckpointMagic,
                                     keys::kCheckpointVersion);
+  append_scalars(text_, state);
+  text_ += hour_lines_;
+  util::journal_text::append_checksum(text_);
+  framed_hours_ = cached_hours_;
+  framed_bytes_ = hour_lines_.size();
+  return text_;
+}
+
+const std::string& CheckpointWriter::encode_frame(
+    const CheckpointState& state) {
+  if (state.partial.hours.size() < framed_hours_)
+    throw std::logic_error(
+        "CheckpointWriter: a frame cannot drop committed hours");
+  sync_hours(state.partial.hours);
+  frame_.clear();
+  append_scalars(frame_, state);
+  frame_.append(hour_lines_, framed_bytes_);
+  framed_hours_ = cached_hours_;
+  framed_bytes_ = hour_lines_.size();
+  return frame_;
+}
+
+void CheckpointWriter::append_scalars(std::string& out,
+                                      const CheckpointState& state) {
+  const MonthlyResult& r = state.partial;
   put_u64(out, keys::kConfigDigest, state.config_digest);
   put_u64(out, keys::kStrategy, static_cast<std::uint64_t>(state.strategy));
   put_u64(out, keys::kNextHour, state.next_hour);
@@ -446,9 +468,6 @@ const std::string& CheckpointWriter::encode(const CheckpointState& state) {
   put_list(out, keys::kChunkFailureTally, r.chunk_failure_tally);
 
   put_u64(out, keys::kHours, r.hours.size());
-  out += hour_lines_;
-  util::journal_text::append_checksum(out);
-  return out;
 }
 
 void CheckpointWriter::save(const std::string& path,
@@ -464,14 +483,21 @@ void CheckpointWriter::save_rotated(const std::string& path,
   util::journal_text::write_atomic(path, text_);
 }
 
+void CheckpointWriter::commit(util::JournalCommitter& committer,
+                              const CheckpointState& state) {
+  if (committer.wants_snapshot())
+    committer.commit_snapshot(encode(state));
+  else
+    committer.commit_frame(encode_frame(state));
+}
+
 void save_checkpoint(const std::string& path, const CheckpointState& state) {
   CheckpointWriter().save(path, state);
 }
 
-CheckpointState load_checkpoint(const std::string& path) {
-  const util::Journal journal = util::Journal::load(
-      path, keys::kCheckpointMagic, keys::kCheckpointVersion);
+namespace {
 
+CheckpointState decode_checkpoint(const util::Journal& journal) {
   CheckpointState state;
   state.config_digest = journal.get_u64(keys::kConfigDigest);
   state.strategy = static_cast<Strategy>(journal.get_u64(keys::kStrategy));
@@ -567,6 +593,13 @@ CheckpointState load_checkpoint(const std::string& path) {
   return state;
 }
 
+}  // namespace
+
+CheckpointState load_checkpoint(const std::string& path) {
+  return decode_checkpoint(util::Journal::load(path, keys::kCheckpointMagic,
+                                               keys::kCheckpointVersion));
+}
+
 void save_checkpoint_rotated(const std::string& path,
                              const CheckpointState& state,
                              std::size_t keep_generations) {
@@ -615,9 +648,13 @@ CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
   report.generation = load_newest_generation(
       path, keep_generations, "checkpoint", report.skipped,
       [&](const std::string& gen_path) {
-        CheckpointState state = load_checkpoint(gen_path);
+        util::LogReplay replay;
+        CheckpointState state = decode_checkpoint(
+            util::Journal::load(gen_path, keys::kCheckpointMagic,
+                                keys::kCheckpointVersion, &replay));
         if (state.config_digest != expected_digest) return false;
         report.state = std::move(state);
+        if (!replay.stop.empty()) report.skipped.push_back(replay.stop);
         return true;
       });
   return report;

@@ -9,6 +9,7 @@
 
 #include "core/market_feed.hpp"
 #include "core/simulator.hpp"
+#include "util/journal.hpp"
 
 namespace billcap::core {
 
@@ -55,6 +56,10 @@ bool checkpoint_exists(const std::string& path) noexcept;
 /// the ~60 scalar keys, the checksum and the write stay per-save work.
 /// The bytes are exactly what a fresh writer produces for the same state.
 ///
+/// For a commit log (util::JournalCommitter with one generation) it also
+/// encodes frames: the scalar keys plus only the hour lines added since
+/// the previous commit, so a commit's bytes stay O(1) in the month.
+///
 /// The cache assumes the hour vector only grows between saves, as
 /// run_resumable's does. A vector that shrank, or whose last cached record
 /// no longer encodes to the cached line (a different month), is
@@ -74,22 +79,38 @@ class CheckpointWriter {
   void save_rotated(const std::string& path, const CheckpointState& state,
                     std::size_t keep_generations);
 
+  /// The commit-log frame taking the previous encode or encode_frame to
+  /// `state`: every scalar key plus the `h<i>=` lines of the hours added
+  /// since. `state` must extend that one (std::logic_error when it has
+  /// fewer hours).
+  const std::string& encode_frame(const CheckpointState& state);
+
+  /// One durable commit of `state` through `committer`: the whole journal
+  /// when it wants a snapshot, else a frame.
+  void commit(util::JournalCommitter& committer, const CheckpointState& state);
+
  private:
   void sync_hours(const std::vector<HourRecord>& hours);
+  /// The keys ahead of the hour lines, `hours=` last.
+  static void append_scalars(std::string& out, const CheckpointState& state);
 
   std::string hour_lines_;           ///< lines of hours [0, cached_hours_)
   std::size_t cached_hours_ = 0;
   std::size_t last_line_begin_ = 0;  ///< offset of the last cached line
   std::string probe_;                ///< re-encoded last line (the guard)
   std::string text_;                 ///< the journal of the latest encode
+  std::string frame_;                ///< the latest encode_frame
+  std::size_t framed_hours_ = 0;     ///< hours in the last encode or frame
+  std::size_t framed_bytes_ = 0;     ///< their bytes in hour_lines_
 };
 
 /// One-shot CheckpointWriter::save.
 void save_checkpoint(const std::string& path, const CheckpointState& state);
 
-/// Loads and verifies a checkpoint. Throws std::runtime_error when the
-/// file is missing, truncated, corrupted (checksum mismatch), from an
-/// unsupported format version, or structurally inconsistent.
+/// Loads and verifies a checkpoint, with its commit log replayed (see
+/// util::Journal::load). Throws std::runtime_error when the file is
+/// missing, truncated, corrupted (checksum mismatch), from an unsupported
+/// format version, or structurally inconsistent.
 CheckpointState load_checkpoint(const std::string& path);
 
 /// Like save_checkpoint, but first shifts the existing generation chain
@@ -136,8 +157,10 @@ std::size_t load_newest_generation(
 /// Scans generations newest-first and returns the first one that loads
 /// cleanly AND matches `expected_digest`; corrupted, truncated, missing or
 /// digest-mismatched generations are recorded in `skipped` and passed
-/// over. Each generation the scan falls back costs at most the hours
-/// between the two saves (one simulated hour for a per-hour checkpointer).
+/// over, and so is a commit-log replay that stopped early (one line saying
+/// where, see util::LogReplay). Each generation the scan falls back costs
+/// at most the hours between the two saves (one simulated hour for a
+/// per-hour checkpointer).
 /// Throws std::runtime_error when no viable generation exists.
 CheckpointLoadReport load_checkpoint_fallback(const std::string& path,
                                               std::size_t keep_generations,

@@ -638,11 +638,21 @@ Simulator::ResumableOutcome Simulator::run_resumable(
   // Injected crashes and exit storms model defects in the primary decide
   // path; the degraded standby bypasses that path, so they do not fire.
   const bool standby = config_.standby;
-  // One writer per attempt: each commit encodes only the hour it appends
-  // (a resumed attempt's first commit encodes the loaded hours once).
+  // One writer and one committer per attempt: each commit encodes only the
+  // hour it appends (a resumed attempt's first commit is a snapshot that
+  // encodes the loaded hours once). With one generation the commits after
+  // it are commit-log frames. An attempt that starts fresh first
+  // drops any log left beside an old or removed checkpoint.
+  if (!loaded) util::JournalCommitter::discard_log(checkpoint_path);
   CheckpointWriter writer;
+  util::JournalCommitter committer(checkpoint_path, gens);
   const auto save = [&](const CheckpointState& s) {
-    writer.save_rotated(checkpoint_path, s, gens);
+    writer.commit(committer, s);
+  };
+  const auto finish = [&] {
+    out.result = std::move(st.partial);
+    out.durability = committer.stats();
+    return std::move(out);
   };
 
   out.resumed_from = st.next_hour;
@@ -657,8 +667,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
       // Graceful stop between hours: the checkpoint already holds every
       // committed hour, nothing to flush.
       out.stopped = true;
-      out.result = std::move(st.partial);
-      return out;
+      return finish();
     }
 
     const bool crash_now = !standby && st.crashes_fired < crashes.size() &&
@@ -684,8 +693,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
       save(st);
       out.crashed = true;
       out.crash_hour = hour;
-      out.result = std::move(st.partial);
-      return out;
+      return finish();
     }
 
     if (crash_before_checkpoint) {
@@ -697,8 +705,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
       save(st);
       out.crashed = true;
       out.crash_hour = hour;
-      out.result = std::move(st.partial);
-      return out;
+      return finish();
     }
 
     if (corrupt_now) {
@@ -749,8 +756,7 @@ Simulator::ResumableOutcome Simulator::run_resumable(
       corrupt_file(checkpoint_path);
       out.crashed = true;
       out.crash_hour = hour;
-      out.result = std::move(st.partial);
-      return out;
+      return finish();
     }
 
     if (crash_now) {
@@ -758,15 +764,13 @@ Simulator::ResumableOutcome Simulator::run_resumable(
       // up at the next one.
       out.crashed = true;
       out.crash_hour = hour;
-      out.result = std::move(st.partial);
-      return out;
+      return finish();
     }
   }
 
   st.partial.crash_recoveries = st.crashes_fired + st.storms_fired;
   out.recoveries = st.crashes_fired;
-  out.result = std::move(st.partial);
-  return out;
+  return finish();
 }
 
 }  // namespace billcap::core

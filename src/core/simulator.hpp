@@ -17,6 +17,7 @@
 #include "core/market_feed.hpp"
 #include "datacenter/datacenter.hpp"
 #include "market/pricing_policy.hpp"
+#include "util/journal.hpp"
 #include "workload/trace.hpp"
 #include "workload/wiki_synth.hpp"
 
@@ -219,9 +220,10 @@ class Simulator {
 
   /// One attempt at a crash-tolerant month. The state needed to continue
   /// mid-month (budget ledger, aggregates, per-hour records, the market
-  /// feed's RNG stream, the crash cursor) is persisted to `checkpoint_path`
-  /// after every simulated hour via an atomic write-temp-then-rename, so a
-  /// kill at any instant leaves a consistent checkpoint. With `resume`
+  /// feed's RNG stream, the crash cursor) is committed to `checkpoint_path`
+  /// after every simulated hour through a util::JournalCommitter (with one
+  /// generation, mostly as appended commit-log frames), so a kill at any
+  /// instant leaves a consistent checkpoint. With `resume`
   /// true an existing checkpoint is loaded (it must match this config and
   /// strategy — a digest guards against resuming someone else's month) and
   /// the month continues from its next hour; a missing file starts fresh.
@@ -241,6 +243,8 @@ class Simulator {
     /// generation 0 for a clean resume or a fresh start.
     std::size_t resumed_generation = 0;
     std::vector<std::string> resume_skipped;
+    /// This attempt's commits: snapshots, log appends, syncs and bytes.
+    util::DurabilityStats durability;
   };
 
   /// Knobs for one resumable attempt (all defaults preserve the previous
@@ -248,7 +252,8 @@ class Simulator {
   struct ResumeControls {
     /// Checkpoint generations kept on disk (>= 1). With K > 1 every
     /// per-hour save rotates the chain and a resume falls back
-    /// generation-by-generation past corrupted or mismatched files.
+    /// generation-by-generation past corrupted or mismatched files. With
+    /// K = 1 most commits append to the commit log "<path>.log" instead.
     std::size_t keep_generations = 1;
     /// Stop gracefully after committing this many hours this attempt
     /// (0 = no limit). The supervisor uses this to bound standby attempts.

@@ -81,8 +81,10 @@ struct ServeState {
   std::size_t degraded_ticks = 0;
 };
 
-void save_state(const std::string& path, std::size_t keep_generations,
-                std::uint64_t digest, const ServeState& st) {
+/// Commits `st` through `committer`: the whole journal as a snapshot, or
+/// all of its keys as one commit-log frame.
+void save_state(util::JournalCommitter& committer, std::uint64_t digest,
+                const ServeState& st) {
   util::Journal j(keys::kServeCheckpointMagic, keys::kServeCheckpointVersion);
   j.set_u64(keys::kConfigDigest, digest);
   j.set_size(keys::kServeNextTick, st.next_tick);
@@ -142,8 +144,13 @@ void save_state(const std::string& path, std::size_t keep_generations,
   j.set_size(keys::kServeStandbyTicks, st.standby_ticks);
   j.set_size(keys::kServeDegradedTicks, st.degraded_ticks);
 
-  util::Journal::rotate_generations(path, keep_generations);
-  j.save_atomic(path);
+  if (committer.wants_snapshot()) {
+    committer.commit_snapshot(j.serialize());
+  } else {
+    std::string frame;
+    j.append_entries(frame);
+    committer.commit_frame(frame);
+  }
 }
 
 BreakerState breaker_state_from(std::size_t value) {
@@ -240,11 +247,13 @@ ServeLoadReport load_state_fallback(const std::string& path, std::size_t gens,
   report.generation = core::load_newest_generation(
       path, gens, "serve checkpoint", report.skipped,
       [&](const std::string& gen_path) {
+        util::LogReplay replay;
         const util::Journal j =
             util::Journal::load(gen_path, keys::kServeCheckpointMagic,
-                                keys::kServeCheckpointVersion);
+                                keys::kServeCheckpointVersion, &replay);
         if (j.get_u64(keys::kConfigDigest) != expected_digest) return false;
         report.state = decode_state(j);
+        if (!replay.stop.empty()) report.skipped.push_back(replay.stop);
         return true;
       });
   return report;
@@ -407,7 +416,13 @@ ServeOutcome ServeLoop::run(
     // Record the seeded stream before the first commit so a kill at tick 0
     // resumes the identical RNG trajectory.
     st.feed = feed.state();
+    // Starting fresh: drop any commit log left beside an old or
+    // removed checkpoint before the first commit.
+    if (durable) util::JournalCommitter::discard_log(checkpoint_path);
   }
+  // The attempt's first commit is a snapshot; with one generation the
+  // ticks after it are commit-log frames.
+  util::JournalCommitter committer(checkpoint_path, gens);
 
   BoundedQueue premium_q(premium_cap_);
   BoundedQueue ordinary_q(ordinary_cap_);
@@ -493,7 +508,7 @@ ServeOutcome ServeLoop::run(
     if (!config_.standby && st.kills_fired < kills.size() &&
         kills[st.kills_fired] == tick) {
       ++st.kills_fired;
-      save_state(checkpoint_path, gens, digest_, st);
+      save_state(committer, digest_, st);
       out.crashed = true;
       out.crash_tick = tick;
       break;
@@ -714,10 +729,11 @@ ServeOutcome ServeLoop::run(
     // committed tick forever — the checkpoint deliberately stores no
     // per-tick records to back-fill it from.
     if (on_tick) on_tick(rec);
-    if (durable) save_state(checkpoint_path, gens, digest_, st);
+    if (durable) save_state(committer, digest_, st);
     ++ticks_this_attempt;
   }
 
+  out.durability = committer.stats();
   ServeReport& rep = out.report;
   rep.ticks_committed = st.next_tick;
   rep.ticks_per_hour = T;

@@ -11,6 +11,7 @@
 #include "serve/health.hpp"
 #include "serve/ingest.hpp"
 #include "serve/replan.hpp"
+#include "util/journal.hpp"
 
 namespace billcap::serve {
 
@@ -140,6 +141,8 @@ struct ServeOutcome {
   std::size_t resumed_from_tick = 0;
   std::size_t resumed_generation = 0;
   std::vector<std::string> resume_skipped;
+  /// This attempt's commits: snapshots, log appends, syncs and bytes.
+  util::DurabilityStats durability;
 };
 
 /// The serving daemon's deterministic core: a tick loop over the bounded
@@ -159,6 +162,8 @@ class ServeLoop {
   std::uint64_t digest() const noexcept { return digest_; }
 
   struct Controls {
+    /// Checkpoint generations kept on disk (>= 1). With one, the ticks
+    /// after each snapshot are appended to the commit log "<path>.log".
     std::size_t keep_generations = 1;
     /// Stop gracefully after committing this many ticks this attempt
     /// (0 = no limit). The supervisor bounds standby attempts with this.

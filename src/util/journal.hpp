@@ -3,6 +3,7 @@
 #include <bit>
 #include <charconv>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 // billcap-lint: allow(unordered-iter): Journal's lookup-only key index
@@ -10,6 +11,15 @@
 #include <vector>
 
 namespace billcap::util {
+
+/// What Journal::load replayed from the commit log beside the file.
+struct LogReplay {
+  std::size_t frames = 0;  ///< verified frames applied on top of the file
+  /// Why the replay stopped before the end of the log: "<log path>: ..."
+  /// naming the last frame applied and the bytes left unreplayed. Empty
+  /// when it reached the end, or when there was no log to replay.
+  std::string stop;
+};
 
 /// A small versioned key/value journal for durable state (checkpoints).
 /// The on-disk form is line-oriented text:
@@ -27,6 +37,10 @@ namespace billcap::util {
 /// crash at any instant leaves either the old journal or the new one,
 /// never a torn mix. Keys are indexed: set(), has() and get() cost O(1)
 /// each, so parsing a journal of K lines is O(K).
+///
+/// A journal committed through JournalCommitter with one generation may
+/// have a commit log "<path>.log" beside it; load() replays it, so every
+/// reader sees the last commit.
 class Journal {
  public:
   /// Starts an empty journal with the given magic word and format version.
@@ -59,6 +73,9 @@ class Journal {
 
   /// Full text including header and checksum line.
   std::string serialize() const;
+  /// Appends the "<key>=<value>\n" lines of serialize(), without the
+  /// header and checksum: the body of a commit-log frame.
+  void append_entries(std::string& out) const;
 
   /// Parses and verifies a serialized journal. Throws std::runtime_error on
   /// a wrong magic, a version newer than `max_version`, a missing or
@@ -87,18 +104,115 @@ class Journal {
   static void rotate_generations(const std::string& path,
                                  std::size_t keep_generations);
 
-  /// Loads and verifies a journal file; throws std::runtime_error on I/O
-  /// or verification failure.
+  /// Loads and verifies a journal file, then replays the commit log
+  /// "<path>.log" onto it when that log extends this file (its header
+  /// names this file's checksum): each verified frame's keys replace or
+  /// extend the loaded ones, and replay stops at the first torn or corrupt
+  /// frame. A log that extends another file is ignored. Throws
+  /// std::runtime_error on I/O or verification failure of the file itself;
+  /// a bad log frame only ends the replay, reported through `replay`.
   static Journal load(const std::string& path, std::string_view expected_magic,
-                      int max_version);
+                      int max_version, LogReplay* replay = nullptr);
 
  private:
+  /// Sets `key`, replacing the value when it already exists.
+  void upsert(std::string_view key, std::string_view value);
+  /// Applies one commit-log record if it verifies as frame `seq`; throws
+  /// std::runtime_error, having applied nothing, when it does not.
+  void apply_frame(std::string_view frame, std::uint64_t seq);
+  void replay_log(const std::string& log_path, std::string_view base,
+                  LogReplay* replay);
+
+  /// Hashes std::string and std::string_view alike, so a replayed key is
+  /// looked up without building a std::string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   std::string magic_;
   int version_ = 1;
   std::vector<std::pair<std::string, std::string>> entries_;
   // Lookup only: serialize() walks entries_, in insertion order.
   // billcap-lint: allow(unordered-iter): never iterated
-  std::unordered_map<std::string, std::size_t> index_;  ///< key -> entry
+  std::unordered_map<std::string, std::size_t, KeyHash, std::equal_to<>>
+      index_;  ///< key -> entry
+};
+
+/// Work counters of a commit path: the durable syscalls and bytes its
+/// commits cost. Only the calls that succeeded are counted.
+struct DurabilityStats {
+  std::size_t snapshots = 0;   ///< whole-file commits (temp file + rename)
+  std::size_t appends = 0;     ///< frames appended to a commit log
+  std::size_t fsyncs = 0;      ///< fsync of a snapshot's temp file
+  std::size_t fdatasyncs = 0;  ///< fdatasync of the commit log
+  std::size_t dir_fsyncs = 0;  ///< fsync of the containing directory
+  std::size_t renames = 0;     ///< renames, generation rotation excluded
+  std::size_t bytes = 0;       ///< bytes written: snapshots, headers, frames
+};
+
+/// Commits successive versions of one journal file durably. With
+/// `keep_generations` >= 2 every commit is a whole snapshot: the generation
+/// chain is rotated and the text is written atomically (temp file, fsync,
+/// rename, directory fsync), exactly as Journal::rotate_generations plus
+/// save_atomic do. With one generation the snapshot is followed by a
+/// commit log "<path>.log": its header names the snapshot's checksum, and
+/// each later commit appends one self-checksummed frame holding the keys
+/// that changed, with one write and one fdatasync. The first commit of a
+/// committer, and the first after the log passes kCompactBytes, writes a
+/// fresh snapshot and restarts the log. Journal::load replays the log, so
+/// a reader sees the last commit either way.
+///
+/// A crash at any instant leaves the last commit or the one before it:
+/// the snapshot is replaced atomically; a log that still names the old
+/// snapshot after a new one is renamed in is ignored; a torn frame ends
+/// the replay at the frame before it. A run that starts fresh must
+/// call discard_log() before its first commit, so no log left by another
+/// run can extend a snapshot with the same bytes.
+class JournalCommitter {
+ public:
+  /// Log size at which the next commit writes a snapshot instead of a
+  /// frame: about 720 month-checkpoint frames (a whole month) or 670
+  /// serve ticks.
+  static constexpr std::size_t kCompactBytes = std::size_t{1} << 20;
+
+  JournalCommitter(std::string path, std::size_t keep_generations);
+  ~JournalCommitter();
+  JournalCommitter(const JournalCommitter&) = delete;
+  JournalCommitter& operator=(const JournalCommitter&) = delete;
+
+  /// True when the next commit must be a whole snapshot: always with two
+  /// or more generations; with one, when no log is open (the first commit,
+  /// or after a failed append) or the log reached kCompactBytes.
+  bool wants_snapshot() const noexcept;
+  /// Commits `text`, a complete journal (header through checksum line).
+  void commit_snapshot(std::string_view text);
+  /// Commits the "<key>=<value>\n" lines `entries` on top of the previous
+  /// commit: keys it names are replaced or added, others keep their
+  /// values. Requires !wants_snapshot(). A failed append throws and closes
+  /// the log, so the next commit is a snapshot.
+  void commit_frame(std::string_view entries);
+
+  const DurabilityStats& stats() const noexcept { return stats_; }
+
+  /// "<path>.log".
+  static std::string log_path(const std::string& path);
+  /// Removes the commit log beside `path`, if any. The next snapshot's
+  /// directory fsync makes the removal durable.
+  static void discard_log(const std::string& path);
+
+ private:
+  void close_log() noexcept;
+
+  std::string path_;
+  std::size_t keep_generations_;
+  int fd_ = -1;                ///< the open log; -1 = next commit snapshots
+  std::size_t log_bytes_ = 0;  ///< bytes in the open log
+  std::uint64_t next_seq_ = 1;
+  std::string frame_;          ///< the frame being appended
+  DurabilityStats stats_;
 };
 
 /// The pieces of the journal text format, shared by Journal and by writers
@@ -161,8 +275,10 @@ void append_double_bits(std::string& out, double value);
 void append_checksum(std::string& out);
 /// The I/O half of Journal::save_atomic: writes the finished `text` to
 /// "<path>.tmp", fsyncs it, renames it over `path` and fsyncs the
-/// directory. Throws std::runtime_error on I/O failure.
-void write_atomic(const std::string& path, std::string_view text);
+/// directory, counting into `stats` when given. Throws std::runtime_error
+/// on I/O failure.
+void write_atomic(const std::string& path, std::string_view text,
+                  DurabilityStats* stats = nullptr);
 
 }  // namespace journal_text
 

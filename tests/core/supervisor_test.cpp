@@ -393,6 +393,26 @@ TEST(SupervisorTest, ProbeFallsBackPastCorruptedGenerations) {
     std::remove(util::Journal::generation_path(path, g).c_str());
 }
 
+TEST(SupervisorTest, ProbeReplaysTheCommitLogOfAOneGenerationMonth) {
+  // With one generation the snapshot holds only the attempt's first
+  // commit; the probe must read the last one through the log, or a
+  // supervised child would look stuck and be escalated to standby.
+  SimulationConfig config;
+  config.seed = 2012;
+  const Simulator sim(config);
+  const std::string path = temp_path("billcap_supervisor_probe_log.j");
+  std::remove(path.c_str());
+  Simulator::ResumeControls controls;
+  controls.max_hours = 9;
+  ASSERT_TRUE(
+      sim.run_resumable(Strategy::kCostCapping, path, false, {}, controls)
+          .stopped);
+  ASSERT_TRUE(checkpoint_exists(util::JournalCommitter::log_path(path)));
+  EXPECT_EQ(probe_checkpoint_hour(path, 1), 9u);
+  std::remove(path.c_str());
+  std::remove(util::JournalCommitter::log_path(path).c_str());
+}
+
 // ---- wall-clock independence (billcap-lint BL001 audit) -------------------
 
 // The supervisor's only wall-clock input is the injected now_s hook (see

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -56,6 +57,22 @@ TEST(LintFixtures, EachKnownBadFixtureTriggersExactlyItsRule) {
   };
   for (const FixtureCase& c : cases)
     expect_only(scan_file(fixture_path(c.file)), c.rule, c.file);
+}
+
+TEST(LintFixtures, RawWriteFlagsEveryDurableSyscall) {
+  // fsync, fdatasync and ftruncate are durable-commit machinery: outside
+  // the annotated commit paths in src/util/journal.cpp each is a finding.
+  const std::vector<Finding> findings =
+      scan_file(fixture_path("raw_write.cpp"));
+  for (const char* call : {"'ofstream'", "'fopen'", "'ftruncate'",
+                           "'fdatasync'", "'fsync'"}) {
+    const auto named = [&](const Finding& f) {
+      return f.message.find(call) != std::string::npos;
+    };
+    EXPECT_EQ(std::count_if(findings.begin(), findings.end(), named), 1)
+        << call;
+  }
+  EXPECT_EQ(findings.size(), 5u);
 }
 
 TEST(LintFixtures, AnnotatedHazardsScanClean) {

@@ -7,12 +7,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "core/checkpoint_keys.hpp"
 #include "core/simulator.hpp"
 #include "core/supervisor.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
 namespace billcap::serve {
@@ -256,6 +260,99 @@ TEST(ServeLoopTest, SupervisorProbeReadsServeCheckpointProgress) {
   }
   EXPECT_EQ(core::probe_checkpoint_hour(path, 2), 4u);
   remove_generations(path, 2);
+}
+
+TEST(ServeLoopTest, SupervisorProbeReplaysTheServeCommitLog) {
+  // One generation: the snapshot holds the attempt's first tick and the
+  // log every tick after it; the probe reports the last committed tick.
+  const core::Simulator sim(small_config());
+  const ServeLoop loop(sim, short_serve_config());
+  const std::string path = temp_path("billcap_serve_probe_log.j");
+  std::remove(path.c_str());
+  ServeLoop::Controls controls;
+  controls.max_ticks = 5;
+  const ServeOutcome outcome = loop.run(path, false, {}, controls);
+  ASSERT_TRUE(outcome.stopped);
+  EXPECT_EQ(outcome.durability.snapshots, 1u);
+  EXPECT_EQ(outcome.durability.appends, 4u);
+  EXPECT_EQ(core::probe_checkpoint_hour(path, 1), 5u);
+  std::remove(path.c_str());
+  std::remove(util::JournalCommitter::log_path(path).c_str());
+}
+
+std::uint64_t hash_of(const std::string& text) {
+  util::Fnv1a fnv;
+  fnv.mix_bytes(text);
+  return fnv.hash;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(ServeLoopTest, ReplayedStateMatchesEveryCommittedTickThroughAKillStorm) {
+  // The same kill storm run twice: with two generations every tick commits
+  // a whole snapshot, with one most ticks append a frame to the log. After
+  // every tick (observed from the next tick's hook and after each attempt)
+  // the one-generation journal, loaded through its log, must re-serialize
+  // to exactly the snapshot the two-generation run had on disk. The last
+  // attempt runs long enough to restart its log once.
+  const core::Simulator sim(small_config());
+  ServeConfig cfg;
+  cfg.ticks_per_hour = 4;
+  cfg.horizon_hours = 200;
+  cfg.kill_at_ticks = {0, 3, 3, 10, 60};
+  const ServeLoop loop(sim, cfg);
+
+  const auto run = [&](const std::string& path, std::size_t keep,
+                       const auto& observe, util::DurabilityStats& last) {
+    remove_generations(path, keep);
+    std::remove(util::JournalCommitter::log_path(path).c_str());
+    std::vector<std::uint64_t> seen;
+    const auto on_tick = [&](const TickRecord&) {
+      if (std::filesystem::exists(path)) seen.push_back(hash_of(observe(path)));
+    };
+    ServeLoop::Controls controls;
+    controls.keep_generations = keep;
+    ServeOutcome out;
+    std::size_t attempts = 0;
+    do {
+      out = loop.run(path, attempts > 0, on_tick, controls);
+      ++attempts;
+      seen.push_back(hash_of(observe(path)));
+    } while (out.crashed);
+    EXPECT_EQ(attempts, cfg.kill_at_ticks.size() + 1);
+    EXPECT_EQ(out.report.ticks_committed, loop.total_ticks());
+    last = out.durability;
+    remove_generations(path, keep);
+    std::remove(util::JournalCommitter::log_path(path).c_str());
+    return seen;
+  };
+
+  util::DurabilityStats rotated;
+  const std::vector<std::uint64_t> want = run(
+      temp_path("billcap_serve_replay_k2.j"), 2,
+      [](const std::string& path) { return slurp(path); }, rotated);
+  util::DurabilityStats logged;
+  const std::vector<std::uint64_t> got = run(
+      temp_path("billcap_serve_replay_k1.j"), 1,
+      [](const std::string& path) {
+        return util::Journal::load(path, core::keys::kServeCheckpointMagic,
+                                   core::keys::kServeCheckpointVersion)
+            .serialize();
+      },
+      logged);
+
+  EXPECT_EQ(rotated.appends, 0u);
+  EXPECT_EQ(logged.snapshots, 2u);  // the attempt's first tick, one restart
+  EXPECT_EQ(logged.snapshots + logged.appends,
+            loop.total_ticks() - cfg.kill_at_ticks.back());
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_GT(want.size(), loop.total_ticks());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(want[i], got[i]) << "observation " << i;
 }
 
 }  // namespace

@@ -1039,7 +1039,9 @@ int cmd_help() {
       "              --exit-storm hour:count,...  (repeated no-progress\n"
       "              deaths) --corrupt-checkpoint-at h,... (bit rot in the\n"
       "              newest checkpoint generation)\n"
-      "              --keep-generations K  rotated checkpoint generations\n"
+      "              --keep-generations K  checkpoint generations (default\n"
+      "              1: a snapshot plus an appended commit log <path>.log;\n"
+      "              K >= 2: a rotated whole snapshot every hour)\n"
       "              --die-on-crash  injected crashes SIGKILL the process\n"
       "              --standby [--standby-hours N]  degraded premium-only\n"
       "              mode (no MILP), N committed hours per attempt\n"
@@ -1081,7 +1083,8 @@ int cmd_help() {
       "            --restart-window-s) and exponential backoff (--backoff-ms\n"
       "            --backoff-multiplier --backoff-max-ms --backoff-jitter),\n"
       "            escalates to standby after --escalate-after zero-progress\n"
-      "            deaths, keeps --keep-generations rotated checkpoints.\n"
+      "            deaths, keeps --keep-generations rotated checkpoints\n"
+      "            (default 3; 1 commits through the log <path>.log).\n"
       "            The child's own flags are forwarded to it.\n"
       "  sweep     budget sweep (--budgets 0.5e6,1e6,... --policy --seed)\n"
       "  opf       PJM 5-bus optimal power flow (--load MW)\n"

@@ -31,8 +31,9 @@ constexpr std::array<RuleInfo, kRuleCount> kRules = {{
      "journal keys live in src/core/checkpoint_keys.hpp; a typo'd raw key "
      "silently drops state on resume"},
     {Rule::kRawWrite, "BL012", "raw-write",
-     "durable writes must go through the atomic temp+rename path "
-     "(util::Journal / util::CsvWriter)"},
+     "durable writes must go through the atomic temp+rename path or the "
+     "commit log (util::Journal / util::JournalCommitter / "
+     "util::CsvWriter)"},
     {Rule::kCatchAll, "BL020", "catch-all",
      "a swallowed exception must tag a FailureReason or rethrow; silence "
      "hides degradation"},
@@ -132,7 +133,10 @@ constexpr std::string_view kPrintfTokens[] = {
     "vprintf", "vfprintf", "vsnprintf", "dprintf",
 };
 
-constexpr std::string_view kRawWriteCallTokens[] = {"fopen", "freopen"};
+/// BL012 calls: raw opens for writing, and the durable syscalls, which
+/// belong to the commit paths in src/util/journal.cpp alone.
+constexpr std::string_view kRawWriteCallTokens[] = {
+    "fopen", "freopen", "fsync", "fdatasync", "ftruncate"};
 
 constexpr std::string_view kJournalAccessors[] = {
     "set",          "set_u64",        "set_size", "set_double_bits",
@@ -258,13 +262,15 @@ void check_raw_write(std::string_view code, std::vector<std::string>& hits) {
     if (tok == "ofstream") {
       hits.push_back(
           "'ofstream' — raw file write bypasses the atomic temp+rename "
-          "path; use util::Journal::save_atomic / util::CsvWriter, or "
-          "annotate allow(raw-write)");
+          "path or the commit log; use util::Journal::save_atomic / "
+          "util::JournalCommitter / util::CsvWriter, or annotate "
+          "allow(raw-write)");
     } else if (contains(kRawWriteCallTokens, tok) &&
                followed_by_call(code, pos + tok.size())) {
       hits.push_back("call to '" + std::string(tok) +
                      "' — raw file write bypasses the atomic temp+rename "
-                     "path; use util::Journal::save_atomic / "
+                     "path or the commit log; use "
+                     "util::Journal::save_atomic / util::JournalCommitter / "
                      "util::CsvWriter, or annotate allow(raw-write)");
     }
   });

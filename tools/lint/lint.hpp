@@ -40,7 +40,7 @@ enum class Rule {
   kFloatFormat,     ///< BL003: %f/%e/%g without an explicit precision
   kExitCode,        ///< BL010: raw exit-code integer literal
   kJournalKey,      ///< BL011: raw string key at a Journal call site
-  kRawWrite,        ///< BL012: ofstream/fopen bypassing the atomic journal
+  kRawWrite,        ///< BL012: ofstream/fopen/fsync bypassing the journal
   kCatchAll,        ///< BL020: catch (...) that swallows silently
   kTodoIssue,       ///< BL021: to-do marker without an issue reference
   kUnboundedQueue,  ///< BL022: container growth in a loop with no bound
