@@ -7,8 +7,9 @@
 // month of hourly min-cost MILPs on exactly that problem shape, solved by
 // the legacy reference engine (from the test oracle library in
 // tests/oracle/), by a cold arena (fresh ArenaSolver per hour) and by a
-// warm arena (one solver carrying its basis hour over hour) — verifies all three agree on every objective, and drops the
-// numbers as BENCH_solver.json (archived by tools/ci.sh). Then the
+// warm arena (one solver carrying its basis hour over hour; no controller
+// path enables this) — verifies all three agree on every objective, and
+// drops the numbers as BENCH_solver.json (archived by tools/ci.sh). Then the
 // google-benchmark micro benches below time the production entry points
 // across workload magnitudes; pass --benchmark_filter=^$ to skip them.
 
@@ -260,23 +261,6 @@ void BM_BillCapperDecide(benchmark::State& state) {
 // Ample budget = step 1 only; tight = both steps; punishing = all three
 // solves (min, max-throughput, premium-only min).
 BENCHMARK(BM_BillCapperDecide)->Arg(10'000)->Arg(1'500)->Arg(300)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BillCapperDecideWarm(benchmark::State& state) {
-  // The same three-step decide, but with hour-over-hour warm starts on —
-  // the production fast path behind --warm-solver.
-  const Fixture& f = fixture();
-  core::OptimizerOptions options;
-  options.warm_hourly_solver = true;
-  const core::BillCapper capper(f.sites, f.policies, options);
-  const double budget = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const core::CappingOutcome outcome =
-        capper.decide(8e11, 2e11, f.demand, budget);
-    benchmark::DoNotOptimize(outcome.served_ordinary);
-  }
-}
-BENCHMARK(BM_BillCapperDecideWarm)->Arg(10'000)->Arg(1'500)->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MoreSitesScaling(benchmark::State& state) {

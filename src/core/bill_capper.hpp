@@ -126,12 +126,12 @@ class BillCapper {
   const std::vector<datacenter::DataCenter>& sites_;
   const std::vector<market::PricingPolicy>& policies_;
   OptimizerOptions options_;
-  // One persistent solver arena per solve role, so each role's hour-over-
-  // hour problem sequence stays structurally coherent for warm starts
-  // (OptimizerOptions::warm_hourly_solver). With the flag off the arenas
-  // carry no state between calls and decide() remains a pure function of
-  // its arguments. Mutable: solver state is a cache, not an observable
-  // property of the capper.
+  // One persistent solver per solve role, kept as an allocation cache: each
+  // role's tableau and node pool are reserved once and reused hour over
+  // hour instead of reallocated per solve. No basis carries over between
+  // calls (cross-solve warm starts are off), so decide() remains a pure
+  // function of its arguments. Mutable: the arenas are a cache, not an
+  // observable property of the capper.
   mutable lp::ArenaSolver min_cost_solver_;
   mutable lp::ArenaSolver throughput_solver_;
   mutable lp::ArenaSolver premium_solver_;

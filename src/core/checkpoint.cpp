@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "core/checkpoint_keys.hpp"
+#include "lp/milp.hpp"
 #include "util/fnv1a.hpp"
 #include "util/journal.hpp"
 
@@ -231,11 +232,14 @@ std::uint64_t checkpoint_digest(const SimulationConfig& config,
   d.mix_double(config.workload.flash_crowd_decay);
 
   d.mix_bool(config.optimizer.model_cooling_network);
-  d.mix_bool(config.optimizer.warm_hourly_solver);
+  // The retired warm-start flag and the now-constant B&B tolerances stay
+  // mixed at their old positions and values, so the digest of every config
+  // (and every checkpoint written before they became fixed) is unchanged.
+  d.mix_bool(false);
   d.mix_u64(static_cast<std::uint64_t>(config.optimizer.milp.max_nodes));
-  d.mix_double(config.optimizer.milp.integrality_tol);
-  d.mix_double(config.optimizer.milp.relative_gap);
-  d.mix_double(config.optimizer.milp.absolute_gap);
+  d.mix_double(lp::kIntegralityTol);
+  d.mix_double(lp::kRelativeGap);
+  d.mix_double(lp::kAbsoluteGap);
   d.mix_double(config.optimizer.milp.time_limit_ms);
 
   const FaultPlan& plan = config.fault_plan;

@@ -30,11 +30,9 @@ AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options = {});
 
-/// Same, solving on a caller-owned lp::ArenaSolver. A long-lived solver
-/// warm starts each hour's MILP from the previous hour's basis when
-/// configured with warm_across_solves (see OptimizerOptions::
-/// warm_hourly_solver); the three-argument overload uses a solve-local
-/// arena instead.
+/// Same, solving on a caller-owned lp::ArenaSolver, so a long-lived caller
+/// reuses one reserved arena hour over hour; the three-argument overload
+/// uses a solve-local arena instead.
 AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options,

@@ -182,7 +182,7 @@ FleetHourOutcome FleetController::decide_hour(
     }
 
     // ---- sharded chunk solves ------------------------------------------
-    // One task per region; each region's warm solver arena is touched by
+    // One task per region; each region's solver arenas are touched by
     // exactly one task, results land in indexed slots, and the reduction
     // below walks them in region order — bitwise-identical for any thread
     // count (and for no pool at all).

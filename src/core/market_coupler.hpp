@@ -148,7 +148,7 @@ class MarketCoupler {
   MarketCouplerOptions options_;
   market::CoupledMarket market_;
   /// The coupled curves the capper below references; the iteration mutates
-  /// the *contents* each pass, so the capper (and its warm-start arenas)
+  /// the *contents* each pass, so the capper (and its solver arenas)
   /// never needs rebuilding.
   std::vector<market::PricingPolicy> coupled_policies_;
   BillCapper coupled_capper_;

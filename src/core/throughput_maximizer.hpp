@@ -28,9 +28,8 @@ AllocationResult maximize_throughput_over_models(
     std::span<const SiteModel> models, double lambda_available,
     double cost_budget, const OptimizerOptions& options = {});
 
-/// Same, solving on a caller-owned lp::ArenaSolver (see
-/// OptimizerOptions::warm_hourly_solver for the hour-over-hour warm-start
-/// protocol; the four-argument overload uses a solve-local arena).
+/// Same, solving on a caller-owned lp::ArenaSolver (a reused allocation;
+/// the four-argument overload uses a solve-local arena).
 AllocationResult maximize_throughput_over_models(
     std::span<const SiteModel> models, double lambda_available,
     double cost_budget, const OptimizerOptions& options,

@@ -22,7 +22,7 @@ long dual_pivot_budget(int m) { return std::max<long>(200, 4L * m); }
 /// silently destroys B^-1 for every later warm re-solve (observed as bogus
 /// node bounds on the paper's MILPs). Warm repairs refuse such pivots and
 /// report a repair failure so the caller rebuilds cold; the cold two-phase
-/// path keeps the legacy pivot_tol rule and bit-for-bit legacy behavior.
+/// path keeps the legacy kPivotTol rule and bit-for-bit legacy behavior.
 constexpr double kStablePivot = 1e-7;
 
 }  // namespace
@@ -37,8 +37,11 @@ constexpr double kStablePivot = 1e-7;
 struct ArenaSolver::Impl {
   explicit Impl(const ArenaConfig& cfg) : config(cfg) {}
 
-  ArenaConfig config;
+  const ArenaConfig config;
   ArenaStats stat;
+  /// The current solve's byte cap (MilpOptions::max_arena_bytes; 0 =
+  /// unlimited), checked by cold_build and ensure_pool_capacity.
+  std::size_t byte_cap = 0;
 
   // ---- variable mapping onto the nonnegative standard form --------------
   enum class Kind : unsigned char { kShifted, kMirrored, kSplit };
@@ -310,9 +313,9 @@ struct ArenaSolver::Impl {
   /// Builds the tableau from `problem` under the current bounds and runs
   /// phase 1 + phase 2. Mirrors the legacy simplex construction exactly
   /// (including the rhs-sign row flips). Returns kIterationLimit-class
-  /// statuses as the legacy engine does; kArenaExhausted when a configured
-  /// byte cap would be exceeded.
-  SolveStatus cold_build(const Problem& problem, const SimplexOptions& lp) {
+  /// statuses as the legacy engine does; kArenaExhausted when the
+  /// solve's byte cap would be exceeded.
+  SolveStatus cold_build(const Problem& problem) {
     lp_iters = 0;
     build_maps();
 
@@ -370,9 +373,9 @@ struct ArenaSolver::Impl {
     stride = static_cast<std::size_t>(n_total) + 1;
     first_artificial = n_struct + n_slack;
 
-    if (config.max_arena_bytes != 0 &&
+    if (byte_cap != 0 &&
         tableau_bytes(m, stride) + pool.capacity() * sizeof(NodeSlot) >
-            config.max_arena_bytes) {
+            byte_cap) {
       resident_valid = false;
       parked = false;
       return SolveStatus::kArenaExhausted;
@@ -452,19 +455,19 @@ struct ArenaSolver::Impl {
     build_std_costs(problem);
     if (num_artificial > 0) {
       load_phase1_costs();
-      const SolveStatus st = primal_iterate(/*phase1=*/true, lp);
+      const SolveStatus st = primal_iterate(/*phase1=*/true);
       if (st != SolveStatus::kOptimal) {
         resident_valid = false;
         return st;
       }
-      if (cost_value > lp.feasibility_tol) {
+      if (cost_value > kFeasibilityTol) {
         resident_valid = false;
         return SolveStatus::kInfeasible;
       }
-      purge_artificials(lp);
+      purge_artificials();
     }
     load_phase2_costs();
-    const SolveStatus st = primal_iterate(/*phase1=*/false, lp);
+    const SolveStatus st = primal_iterate(/*phase1=*/false);
     resident_valid = (st == SolveStatus::kOptimal);
     return st;
   }
@@ -498,13 +501,13 @@ struct ArenaSolver::Impl {
     cost_row[static_cast<std::size_t>(n_total)] = 0.0;
   }
 
-  void purge_artificials(const SimplexOptions& lp) {
+  void purge_artificials() {
     for (int i = 0; i < m; ++i) {
       const int b = basis[static_cast<std::size_t>(i)];
       if (!is_artificial[static_cast<std::size_t>(b)]) continue;
       int entering = -1;
       for (int j = 0; j < first_artificial; ++j) {
-        if (std::abs(at(i, j)) > lp.pivot_tol) {
+        if (std::abs(at(i, j)) > kPivotTol) {
           entering = j;
           break;
         }
@@ -519,18 +522,18 @@ struct ArenaSolver::Impl {
   /// that magnitude (returning kIterationLimit, i.e. "repair failed, go
   /// cold"). Warm polishing passes set it; the cold path leaves it 0 to
   /// match the legacy engine's pivot sequence exactly.
-  SolveStatus primal_iterate(bool phase1, const SimplexOptions& lp,
-                             double stable_pivot = 0.0) {
+  SolveStatus primal_iterate(bool phase1, double stable_pivot = 0.0) {
     long since_improvement = 0;
     double best_seen = cost_value;
     bool bland = false;
     for (;;) {
-      if (lp_iters >= lp.max_iterations) return SolveStatus::kIterationLimit;
+      if (lp_iters >= kMaxSimplexIterations)
+        return SolveStatus::kIterationLimit;
 
-      const int entering = choose_entering(phase1, bland, lp);
+      const int entering = choose_entering(phase1, bland);
       if (entering < 0) return SolveStatus::kOptimal;
 
-      const int leaving = choose_leaving(entering, lp);
+      const int leaving = choose_leaving(entering);
       if (leaving < 0) return SolveStatus::kUnbounded;
 
       if (stable_pivot > 0.0 && at(leaving, entering) < stable_pivot)
@@ -544,19 +547,19 @@ struct ArenaSolver::Impl {
         best_seen = cost_value;
         since_improvement = 0;
         bland = false;
-      } else if (++since_improvement > lp.stall_threshold) {
+      } else if (++since_improvement > kStallThreshold) {
         bland = true;
       }
     }
   }
 
-  int choose_entering(bool phase1, bool bland, const SimplexOptions& lp) const {
+  int choose_entering(bool phase1, bool bland) const {
     int best = -1;
-    double best_rc = -lp.optimality_tol;
+    double best_rc = -kOptimalityTol;
     for (int j = 0; j < n_total; ++j) {
       if (!phase1 && is_artificial[static_cast<std::size_t>(j)]) continue;
       const double rc = cost_row[static_cast<std::size_t>(j)];
-      if (rc < -lp.optimality_tol) {
+      if (rc < -kOptimalityTol) {
         if (bland) return j;
         if (rc < best_rc) {
           best_rc = rc;
@@ -572,11 +575,11 @@ struct ArenaSolver::Impl {
   /// exact minimum (instead of letting it drift with each accepted tie)
   /// keeps degenerate pivots deterministic and cycling-resistant; the same
   /// rule is pinned in the legacy simplex by tests/lp/simplex_test.cpp.
-  int choose_leaving(int entering, const SimplexOptions& lp) const {
+  int choose_leaving(int entering) const {
     double min_ratio = kInfinity;
     for (int i = 0; i < m; ++i) {
       const double a = at(i, entering);
-      if (a <= lp.pivot_tol) continue;
+      if (a <= kPivotTol) continue;
       const double ratio = std::max(rhs(i), 0.0) / a;
       if (ratio < min_ratio) min_ratio = ratio;
     }
@@ -584,7 +587,7 @@ struct ArenaSolver::Impl {
     int best = -1;
     for (int i = 0; i < m; ++i) {
       const double a = at(i, entering);
-      if (a <= lp.pivot_tol) continue;
+      if (a <= kPivotTol) continue;
       const double ratio = std::max(rhs(i), 0.0) / a;
       if (ratio <= min_ratio + 1e-12 &&
           (best < 0 || basis[static_cast<std::size_t>(i)] <
@@ -625,12 +628,12 @@ struct ArenaSolver::Impl {
   /// kOptimal (primal feasible again), kInfeasible (dual unbounded: no
   /// feasible point for this rhs), or kIterationLimit (budget blown —
   /// caller falls back cold).
-  SolveStatus dual_iterate(const SimplexOptions& lp) {
+  SolveStatus dual_iterate() {
     const long budget = dual_pivot_budget(m);
     long local = 0;
     for (;;) {
       int r = -1;
-      double most = -lp.feasibility_tol;
+      double most = -kFeasibilityTol;
       for (int i = 0; i < m; ++i) {
         const double v = rhs(i);
         if (v < most ||
@@ -654,7 +657,7 @@ struct ArenaSolver::Impl {
       for (int j = 0; j < n_total; ++j) {
         if (is_artificial[static_cast<std::size_t>(j)]) continue;
         const double a = at(r, j);
-        if (a >= -lp.pivot_tol) continue;
+        if (a >= -kPivotTol) continue;
         any_negative = true;
         if (a >= -kStablePivot) continue;
         const double ratio =
@@ -709,13 +712,13 @@ struct ArenaSolver::Impl {
 
   /// Warm re-solve of the current node's LP: recompute rhs under the
   /// current bounds, swap it in, repair with dual simplex, polish primal.
-  SolveStatus warm_eval(const Problem& problem, const SimplexOptions& lp) {
+  SolveStatus warm_eval(const Problem& problem) {
     lp_iters = 0;
     compute_rhs(problem);
     swap_rhs();
-    SolveStatus st = dual_iterate(lp);
+    SolveStatus st = dual_iterate();
     if (st != SolveStatus::kOptimal) return st;
-    st = primal_iterate(/*phase1=*/false, lp, kStablePivot);
+    st = primal_iterate(/*phase1=*/false, kStablePivot);
     if (st != SolveStatus::kOptimal) return st;
     // A basic artificial that phase 1 parked at zero (redundant row) may go
     // positive under the new rhs; the "solution" then violates its original
@@ -725,7 +728,7 @@ struct ArenaSolver::Impl {
     for (int i = 0; i < m; ++i) {
       if (is_artificial[static_cast<std::size_t>(
               basis[static_cast<std::size_t>(i)])] &&
-          rhs(i) > lp.feasibility_tol)
+          rhs(i) > kFeasibilityTol)
         return SolveStatus::kIterationLimit;
     }
     return SolveStatus::kOptimal;
@@ -790,10 +793,10 @@ struct ArenaSolver::Impl {
     return true;
   }
 
-  int pick_branch_variable(const Problem& problem, std::span<const double> x,
-                           double tol) const {
+  int pick_branch_variable(const Problem& problem,
+                           std::span<const double> x) const {
     int best = -1;
-    double best_frac_dist = tol;
+    double best_frac_dist = kIntegralityTol;
     for (int j = 0; j < problem.num_variables(); ++j) {
       if (!problem.variable(j).is_integer) continue;
       const double value = x[static_cast<std::size_t>(j)];
@@ -808,14 +811,13 @@ struct ArenaSolver::Impl {
   }
 
   /// Grows the node pool (between node expansions, never inside the
-  /// simplex loops). Returns false when a configured byte cap forbids it.
+  /// simplex loops). Returns false when the solve's byte cap forbids it.
   bool ensure_pool_capacity(std::size_t needed) {
     if (needed <= pool.capacity()) return true;
     std::size_t next = std::max<std::size_t>(1024, pool.capacity() * 2);
     while (next < needed) next *= 2;
-    if (config.max_arena_bytes != 0 &&
-        tableau_bytes(m, stride) + next * sizeof(NodeSlot) >
-            config.max_arena_bytes)
+    if (byte_cap != 0 &&
+        tableau_bytes(m, stride) + next * sizeof(NodeSlot) > byte_cap)
       return false;
     pool.reserve(next);
     dfs.reserve(next);
@@ -826,6 +828,7 @@ struct ArenaSolver::Impl {
     const bool maximize = problem.sense() == Sense::kMaximize;
     const auto to_min = [maximize](double obj) { return maximize ? -obj : obj; };
     iterations_this_solve = 0;
+    byte_cap = options.max_arena_bytes;
 
     Solution best;
     best.status = SolveStatus::kInfeasible;
@@ -865,8 +868,7 @@ struct ArenaSolver::Impl {
       // Cost pass: new objective over the parked (primal-feasible) basis.
       lp_iters = 0;
       load_phase2_costs();
-      SolveStatus st =
-          primal_iterate(/*phase1=*/false, options.lp, kStablePivot);
+      SolveStatus st = primal_iterate(/*phase1=*/false, kStablePivot);
       if (st == SolveStatus::kOptimal && has_seed && !int_vars.empty() &&
           seed_values.size() == int_vars.size()) {
         // Incumbent seeding: pin the integers to the previous optimum's
@@ -885,7 +887,7 @@ struct ArenaSolver::Impl {
             cur_lo[v] = seed_values[k];
             cur_hi[v] = seed_values[k];
           }
-          if (warm_eval(problem, options.lp) == SolveStatus::kOptimal) {
+          if (warm_eval(problem) == SolveStatus::kOptimal) {
             seeded.status = SolveStatus::kOptimal;
             recover_x(seeded);
             for (const int j : int_vars)
@@ -902,7 +904,7 @@ struct ArenaSolver::Impl {
       }
       if (st == SolveStatus::kOptimal) {
         // Rhs pass: swap in the new root rhs, repair dual.
-        st = warm_eval(problem, options.lp);
+        st = warm_eval(problem);
         if (st == SolveStatus::kOptimal || st == SolveStatus::kInfeasible) {
           warm_root = true;
           warm_root_status = st;
@@ -960,7 +962,7 @@ struct ArenaSolver::Impl {
       dfs.pop_back();
       const NodeSlot node = pool[static_cast<std::size_t>(idx)];
 
-      if (node.parent_bound >= incumbent - options.absolute_gap) continue;
+      if (node.parent_bound >= incumbent - kAbsoluteGap) continue;
       if (!apply_node_bounds(idx)) continue;
 
       ++nodes;
@@ -975,7 +977,7 @@ struct ArenaSolver::Impl {
         st = warm_root_status;
         solved_warm = true;
       } else if (resident_valid && fast_path_ok) {
-        st = warm_eval(problem, options.lp);
+        st = warm_eval(problem);
         if (st == SolveStatus::kOptimal || st == SolveStatus::kInfeasible) {
           solved_warm = true;
           ++stat.node_warm_solves;
@@ -984,7 +986,7 @@ struct ArenaSolver::Impl {
         st = SolveStatus::kIterationLimit;  // force the cold path below
       }
       if (!solved_warm) {
-        st = cold_build(problem, options.lp);
+        st = cold_build(problem);
         if (st == SolveStatus::kArenaExhausted) {
           exhausted = true;
           break;
@@ -1016,12 +1018,11 @@ struct ArenaSolver::Impl {
         root_bound = bound;
         root_known = true;
       }
-      if (bound >= incumbent - options.absolute_gap &&
-          bound >= incumbent - options.relative_gap * std::abs(incumbent))
+      if (bound >= incumbent - kAbsoluteGap &&
+          bound >= incumbent - kRelativeGap * std::abs(incumbent))
         continue;
 
-      int branch_var =
-          pick_branch_variable(problem, relax.x, options.integrality_tol);
+      int branch_var = pick_branch_variable(problem, relax.x);
       if (branch_var < 0) {
         // Integral: candidate incumbent. A warm-solved node's solution is
         // re-checked against the root problem; numerical drift in the
@@ -1031,7 +1032,7 @@ struct ArenaSolver::Impl {
           snap_buf[static_cast<std::size_t>(j)] =
               std::round(snap_buf[static_cast<std::size_t>(j)]);
         if (solved_warm && !problem.is_feasible(snap_buf, 1e-6)) {
-          st = cold_build(problem, options.lp);
+          st = cold_build(problem);
           ++stat.node_cold_solves;
           if (st == SolveStatus::kArenaExhausted) {
             exhausted = true;
@@ -1040,8 +1041,7 @@ struct ArenaSolver::Impl {
           if (st != SolveStatus::kOptimal) continue;
           recover_x(relax);
           relax.objective = problem.objective_value(relax.x);
-          branch_var =
-              pick_branch_variable(problem, relax.x, options.integrality_tol);
+          branch_var = pick_branch_variable(problem, relax.x);
           if (branch_var >= 0) {
             // The cold re-solve landed on a fractional vertex: branch on it.
           } else {
@@ -1156,7 +1156,7 @@ struct ArenaSolver::Impl {
         !exhausted) {
       cur_lo = root_lo;
       cur_hi = root_hi;
-      const SolveStatus st = warm_eval(problem, options.lp);
+      const SolveStatus st = warm_eval(problem);
       if (st == SolveStatus::kOptimal) {
         parked = true;
         capture_signature(problem);
@@ -1181,26 +1181,16 @@ ArenaSolver::ArenaSolver(ArenaSolver&&) noexcept = default;
 ArenaSolver& ArenaSolver::operator=(ArenaSolver&&) noexcept = default;
 
 Solution ArenaSolver::solve(const Problem& problem, const MilpOptions& options) {
-  // A per-call cap (MilpOptions::max_arena_bytes) tightens the lifetime cap
-  // for this solve only; the lifetime value is restored before returning so
-  // one squeezed chunk solve cannot shrink the arena for later hours.
-  const std::size_t lifetime_cap = config_.max_arena_bytes;
-  std::size_t effective = lifetime_cap;
+  // An arena already holding more than the cap is exhausted by definition —
+  // a pool reserved by earlier solves would otherwise sail past the growth
+  // checks.
   if (options.max_arena_bytes != 0 &&
-      (effective == 0 || options.max_arena_bytes < effective)) {
-    effective = options.max_arena_bytes;
-  }
-  // An arena already holding more than the squeezed cap is exhausted by
-  // definition — a warm pool would otherwise sail past the growth checks.
-  if (effective != 0 && impl_->footprint() > effective) {
+      impl_->footprint() > options.max_arena_bytes) {
     Solution sol;
     sol.status = SolveStatus::kArenaExhausted;
     return sol;
   }
-  impl_->config.max_arena_bytes = effective;
-  Solution sol = impl_->solve(problem, options);
-  impl_->config.max_arena_bytes = lifetime_cap;
-  return sol;
+  return impl_->solve(problem, options);
 }
 
 void ArenaSolver::invalidate() noexcept {

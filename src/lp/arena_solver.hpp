@@ -8,28 +8,19 @@
 
 namespace billcap::lp {
 
-/// Arena sizing and warm-start policy for ArenaSolver. Everything that
-/// changes per *call* (node limits, deadlines, tolerances) stays in
-/// MilpOptions; this struct only holds what is fixed for the solver's
-/// lifetime.
+/// Warm-start policy for ArenaSolver, fixed for the solver's lifetime.
+/// Everything that changes per *call* (node limit, deadline, byte cap)
+/// stays in MilpOptions.
 struct ArenaConfig {
   /// Reuse the previous solve's final basis as the starting point of the
   /// next solve when the two problems share the same row structure (the
   /// hourly bill-capping MILPs differ only in objective costs and rhs).
   ///
-  /// OFF by default: a resumed month starts with an empty arena, so a
-  /// kill/resume run would diverge (at the ulp level) from an
-  /// uninterrupted one. Like --replan-deadline-ms, enabling this trades
-  /// bitwise kill/resume reproducibility for speed; results within one
-  /// process remain fully deterministic.
+  /// OFF by default, and no controller path turns it on: a resumed month
+  /// starts with an empty arena, so a kill/resume run would diverge (at the
+  /// ulp level) from an uninterrupted one, and on the real hourly loop the
+  /// warm root almost never engages. Benches and tests exercise it.
   bool warm_across_solves = false;
-
-  /// Hard cap on the arena footprint in bytes (tableau + node pool).
-  /// 0 = unlimited: the arena is re-reserved between solves as shapes
-  /// require and never grows inside the simplex loop. When the cap is set,
-  /// a solve whose shape or node pool would not fit returns a Solution
-  /// with SolveStatus::kArenaExhausted instead of allocating.
-  std::size_t max_arena_bytes = 0;
 };
 
 /// Counters describing how solves were served. Monotonic over the solver's
@@ -65,8 +56,8 @@ struct ArenaStats {
 /// DC-OPF (market::solve_dcopf, which reads LMPs from the duals) both run
 /// on it.
 ///
-/// Not thread-safe: one ArenaSolver per thread (the warm state is the
-/// point of the class).
+/// Not thread-safe: one ArenaSolver per thread (the resident tableau and
+/// reserved arena are the point of the class).
 class ArenaSolver {
  public:
   explicit ArenaSolver(ArenaConfig config = {});
@@ -74,7 +65,7 @@ class ArenaSolver {
   ArenaSolver(const ArenaSolver&) = delete;
   ArenaSolver& operator=(const ArenaSolver&) = delete;
   // Movable so long-lived owners (BillCapper, region capper vectors) can be
-  // moved without losing their warm state.
+  // moved without losing their reserved arena.
   ArenaSolver(ArenaSolver&&) noexcept;
   ArenaSolver& operator=(ArenaSolver&&) noexcept;
 
@@ -82,7 +73,7 @@ class ArenaSolver {
   /// integer marks is solved at the root only). Status semantics mirror
   /// the legacy branch-and-bound: kOptimal/kInfeasible/kUnbounded,
   /// kNodeLimit and kTimeLimit with the best incumbent, plus
-  /// kArenaExhausted when a configured byte cap would be exceeded.
+  /// kArenaExhausted when options.max_arena_bytes would be exceeded.
   ///
   /// A problem without integer marks that solves to kOptimal also carries
   /// one dual per constraint, oriented so that duals[i] is the sensitivity

@@ -126,7 +126,7 @@ enum class SolveStatus {
   kIterationLimit,
   kNodeLimit,
   kTimeLimit,
-  /// An ArenaSolver with a configured byte cap (ArenaConfig::max_arena_bytes)
+  /// An ArenaSolver solve with a byte cap (MilpOptions::max_arena_bytes)
   /// refused to grow its arena. A typed, recoverable condition — callers
   /// treat it like an iteration limit (degrade), never as a feasible answer;
   /// Solution::has_incumbent() is false for it.

@@ -564,6 +564,24 @@ TEST(CheckpointWriterTest, ReproducesGoldenMonthJournalOneShotAndIncrementally) 
   EXPECT_EQ(writer.encode(st), golden);
 }
 
+TEST(CheckpointDigestTest, GoldenMonthConfigDigestIsStable) {
+  // The config tests/data/checkpoint_month48.j was written under (`billcap
+  // simulate --budget 1500000 --outages 1:6:5,0:30:3 --stale 12:6,40:4
+  // --feed-retry-prob 0.1`). Its digest must not move when solver or
+  // controller options are retired or fixed, or checkpoints written by
+  // earlier builds would be refused on resume.
+  SimulationConfig config;
+  config.monthly_budget = 1.5e6;
+  config.fault_plan.outages = {{1, 6, 5}, {0, 30, 3}};
+  config.fault_plan.stale_intervals = {{12, 6}, {40, 4}};
+  config.market_feed.retry_success_prob = 0.1;
+  const std::uint64_t digest =
+      checkpoint_digest(config, Strategy::kCostCapping);
+  EXPECT_EQ(digest, 9759638775591619393ULL);
+  EXPECT_EQ(load_checkpoint(golden_path("checkpoint_month48.j")).config_digest,
+            digest);
+}
+
 TEST(CheckpointWriterTest, CacheIsDiscardedWhenHoursShrinkOrDiffer) {
   CheckpointWriter writer;
   CheckpointState st = coupler_sample_state();

@@ -19,12 +19,19 @@
 
 #include "core/checkpoint.hpp"
 #include "core/simulator.hpp"
+#include "util/journal.hpp"
 
 namespace billcap::core {
 namespace {
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Removes a one-generation checkpoint: the snapshot and its commit log.
+void remove_checkpoint(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove(util::JournalCommitter::log_path(path).c_str());
 }
 
 /// Bitwise equality over everything deterministic, including the coupler
@@ -128,7 +135,7 @@ TEST(CouplerLoopTest, DestabilizedMonthKillResumeIsBitwise) {
     config.fault_plan.crashes.push_back({h, /*before_checkpoint=*/h % 8 == 0});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_coupler_resume.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/false);
@@ -137,7 +144,7 @@ TEST(CouplerLoopTest, DestabilizedMonthKillResumeIsBitwise) {
     ++restarts;
     outcome = sim.run_resumable(Strategy::kCostCapping, path, /*resume=*/true);
   }
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   EXPECT_EQ(restarts, (want.hours.size() + 3) / 4);
   expect_months_bitwise_equal(want, outcome.result);

@@ -27,6 +27,14 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// Removes every file a checkpoint at `path` can leave behind: `gens`
+/// rotated generations plus the one-generation commit log.
+void remove_checkpoint(const std::string& path, std::size_t gens = 1) {
+  for (std::size_t g = 0; g < gens; ++g)
+    std::remove(util::Journal::generation_path(path, g).c_str());
+  std::remove(util::JournalCommitter::log_path(path).c_str());
+}
+
 SimulationConfig faulty_config() {
   SimulationConfig config;
   config.monthly_budget = 1.5e6;
@@ -90,7 +98,7 @@ void expect_results_bitwise_equal(const MonthlyResult& a,
 MonthlyResult run_to_completion(const Simulator& sim, Strategy strategy,
                                 const std::string& path,
                                 std::size_t* restarts = nullptr) {
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   Simulator::ResumableOutcome outcome =
       sim.run_resumable(strategy, path, /*resume=*/false);
   std::size_t n = 0;
@@ -99,7 +107,7 @@ MonthlyResult run_to_completion(const Simulator& sim, Strategy strategy,
     outcome = sim.run_resumable(strategy, path, /*resume=*/true);
   }
   if (restarts) *restarts = n;
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   return outcome.result;
 }
 
@@ -145,7 +153,7 @@ TEST(CrashResumeTest, CrashReportsHourAndResumePoint) {
   config.fault_plan.crashes.push_back({11, /*before_checkpoint=*/true});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_report.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   // Crash after hour 10's checkpoint: hours [0, 10] are committed.
   Simulator::ResumableOutcome outcome =
@@ -167,21 +175,17 @@ TEST(CrashResumeTest, CrashReportsHourAndResumePoint) {
   EXPECT_EQ(outcome.result.crash_recoveries, 2u);
   expect_results_bitwise_equal(sim.run(Strategy::kCostCapping),
                                outcome.result);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 /// Like run_to_completion, but with explicit ResumeControls on every
 /// attempt (rotated generations, standby chunking...).
 MonthlyResult run_to_completion_controlled(
     const Simulator& sim, Strategy strategy, const std::string& path,
-    const Simulator::ResumeControls& controls, std::size_t* restarts,
-    bool fresh_start = true) {
-  if (fresh_start) {
-    for (std::size_t g = 0; g < controls.keep_generations; ++g)
-      std::remove((path + (g ? "." + std::to_string(g) : "")).c_str());
-  }
+    const Simulator::ResumeControls& controls, std::size_t* restarts) {
+  remove_checkpoint(path, controls.keep_generations);
   Simulator::ResumableOutcome outcome =
-      sim.run_resumable(strategy, path, !fresh_start, {}, controls);
+      sim.run_resumable(strategy, path, /*resume=*/false, {}, controls);
   std::size_t n = 0;
   while (outcome.crashed) {
     ++n;
@@ -189,6 +193,7 @@ MonthlyResult run_to_completion_controlled(
   }
   if (restarts) *restarts = n;
   EXPECT_FALSE(outcome.stopped);
+  remove_checkpoint(path, controls.keep_generations);
   return outcome.result;
 }
 
@@ -198,7 +203,7 @@ TEST(CrashResumeTest, ExitStormDiesRepeatedlyWithoutProgressThenDrains) {
   config.fault_plan.exit_storms.push_back({5, 3});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_storm.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   // Every storm death strikes before hour 5's checkpoint commits: three
   // attempts in a row die at hour 5 with the checkpoint pinned there.
@@ -216,7 +221,7 @@ TEST(CrashResumeTest, ExitStormDiesRepeatedlyWithoutProgressThenDrains) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.crash_recoveries, 3u);
   expect_results_bitwise_equal(want, outcome.result);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
@@ -227,8 +232,7 @@ TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
   const std::string path = temp_path("billcap_resume_bitrot.j");
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove((path + (g ? "." + std::to_string(g) : "")).c_str());
+  remove_checkpoint(path, 3);
 
   // The first attempt commits hour 10, stomps the newest generation and
   // dies: generation 0 is unreadable, generation 1 holds the pre-hour-10
@@ -248,8 +252,7 @@ TEST(CrashResumeTest, CheckpointCorruptionFallsBackOneGeneration) {
   ASSERT_EQ(outcome.resume_skipped.size(), 1u);
   EXPECT_EQ(outcome.resumed_from, 10u);
   expect_results_bitwise_equal(want, outcome.result);
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove((path + (g ? "." + std::to_string(g) : "")).c_str());
+  remove_checkpoint(path, 3);
 }
 
 TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
@@ -274,8 +277,7 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
   const std::string path = temp_path("billcap_resume_torn.j");
   Simulator::ResumeControls controls;
   controls.keep_generations = 3;
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint(path, 3);
 
   // Crash 1 pins the chain at hour 12. Shape: torn tmp left beside it.
   Simulator::ResumableOutcome outcome =
@@ -328,8 +330,7 @@ TEST(CrashResumeTest, DeathMidRotatedCheckpointWriteResumesNewestViable) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.crash_recoveries, 3u);
   expect_results_bitwise_equal(want, outcome.result);
-  for (std::size_t g = 0; g < 3; ++g)
-    std::remove(util::Journal::generation_path(path, g).c_str());
+  remove_checkpoint(path, 3);
 }
 
 TEST(CrashResumeTest, KillStormWithRotationAndBitRotStillBitIdentical) {
@@ -361,7 +362,7 @@ TEST(CrashResumeTest, StopFlagFinishesInFlightHourAndResumesCleanly) {
   const MonthlyResult want = Simulator(config).run(Strategy::kCostCapping);
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_stop.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   // The flag flips while hour 5 is in flight (from the per-hour hook,
   // like the CLI's SIGTERM handler): the attempt must commit hour 5,
@@ -388,7 +389,7 @@ TEST(CrashResumeTest, StopFlagFinishesInFlightHourAndResumesCleanly) {
   EXPECT_FALSE(outcome.stopped);
   EXPECT_FALSE(outcome.crashed);
   expect_results_bitwise_equal(want, outcome.result);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
@@ -403,7 +404,7 @@ TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
   standby_config.standby = true;
   const Simulator standby(standby_config);
   const std::string path = temp_path("billcap_resume_standby.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   Simulator::ResumableOutcome outcome =
       primary.run_resumable(Strategy::kCostCapping, path, false);
@@ -432,7 +433,7 @@ TEST(CrashResumeTest, StandbyChunkIsPremiumOnlyAndHandsBackToPrimary) {
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.result.hours.size(), primary.evaluation_trace().hours());
   EXPECT_EQ(outcome.result.crash_recoveries, 99u);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
@@ -440,7 +441,7 @@ TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
   config.fault_plan.crashes.push_back({5, false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_mismatch.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   const Simulator::ResumableOutcome outcome =
       sim.run_resumable(Strategy::kCostCapping, path, false);
   ASSERT_TRUE(outcome.crashed);
@@ -454,7 +455,7 @@ TEST(CrashResumeTest, ResumeUnderDifferentConfigIsRefused) {
   // A different strategy under the same config is a mismatch too.
   EXPECT_THROW(sim.run_resumable(Strategy::kMinOnlyAvg, path, true),
                std::runtime_error);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
@@ -462,7 +463,7 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   config.fault_plan.crashes.push_back({5, false});
   const Simulator sim(config);
   const std::string path = temp_path("billcap_resume_corrupt.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   ASSERT_TRUE(sim.run_resumable(Strategy::kCostCapping, path, false).crashed);
 
   // Truncate the file to half: the resume must refuse, not half-load.
@@ -478,7 +479,7 @@ TEST(CrashResumeTest, CorruptedCheckpointIsRefusedOnResume) {
   }
   EXPECT_THROW(sim.run_resumable(Strategy::kCostCapping, path, true),
                std::runtime_error);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 }  // namespace

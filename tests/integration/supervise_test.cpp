@@ -47,9 +47,12 @@ int run_cli(std::vector<std::string> args) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Removes every file a checkpoint at `path` can leave behind: `gens`
+/// rotated generations plus the one-generation commit log.
 void remove_generations(const std::string& path, std::size_t gens) {
   for (std::size_t g = 0; g < gens; ++g)
     std::remove(util::Journal::generation_path(path, g).c_str());
+  std::remove(util::JournalCommitter::log_path(path).c_str());
 }
 
 /// The uninterrupted reference month, produced once by the real binary
@@ -57,10 +60,10 @@ void remove_generations(const std::string& path, std::size_t gens) {
 const CheckpointState& reference_state() {
   static const CheckpointState state = [] {
     const std::string path = temp_path("billcap_supervise_ref.j");
-    std::remove(path.c_str());
+    remove_generations(path, 1);
     EXPECT_EQ(run_cli({"simulate", "--checkpoint", path}), kExitSuccess);
     CheckpointState st = load_checkpoint(path);
-    std::remove(path.c_str());
+    remove_generations(path, 1);
     return st;
   }();
   return state;

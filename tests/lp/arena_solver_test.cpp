@@ -91,16 +91,17 @@ TEST(ArenaSolverTest, InvalidateForcesColdResolve) {
 TEST(ArenaSolverTest, ArenaExhaustionIsTypedAndRecoverable) {
   // A cap far below any real tableau: the solve must refuse to allocate,
   // return the typed status, and leave no bogus incumbent behind.
-  ArenaSolver tiny(ArenaConfig{.max_arena_bytes = 64});
+  ArenaSolver tiny;
+  const MilpOptions cap{.max_arena_bytes = 64};
   const Problem p = three_var_problem(4.0);
-  const Solution s = tiny.solve(p);
+  const Solution s = tiny.solve(p, cap);
   EXPECT_EQ(s.status, SolveStatus::kArenaExhausted);
   EXPECT_FALSE(s.has_incumbent());
   EXPECT_STREQ(to_string(s.status), "arena_exhausted");
 
   // The same solver keeps answering (typed, not crashed) on later calls,
   // and an uncapped solver solves the identical problem fine.
-  EXPECT_EQ(tiny.solve(p).status, SolveStatus::kArenaExhausted);
+  EXPECT_EQ(tiny.solve(p, cap).status, SolveStatus::kArenaExhausted);
   ArenaSolver roomy;
   EXPECT_EQ(roomy.solve(p).status, SolveStatus::kOptimal);
 }
@@ -108,9 +109,9 @@ TEST(ArenaSolverTest, ArenaExhaustionIsTypedAndRecoverable) {
 TEST(ArenaSolverTest, GenerousCapStillSolves) {
   // A cap big enough for the tableau must not trip: the cap bounds the
   // footprint, it does not tax successful solves.
-  ArenaSolver capped(ArenaConfig{.max_arena_bytes = 1 << 20});
+  ArenaSolver capped;
   const Problem p = three_var_problem(4.0);
-  const Solution s = capped.solve(p);
+  const Solution s = capped.solve(p, MilpOptions{.max_arena_bytes = 1 << 20});
   EXPECT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_LE(capped.arena_bytes(), static_cast<std::size_t>(1) << 20);
 }

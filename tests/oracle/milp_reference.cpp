@@ -20,10 +20,9 @@ struct Node {
 };
 
 /// Most fractional integer variable, or -1 if integral.
-int pick_branch_variable(const Problem& problem, std::span<const double> x,
-                         double tol) {
+int pick_branch_variable(const Problem& problem, std::span<const double> x) {
   int best = -1;
-  double best_frac_dist = tol;
+  double best_frac_dist = kIntegralityTol;
   for (int j = 0; j < problem.num_variables(); ++j) {
     if (!problem.variable(j).is_integer) continue;
     const double value = x[static_cast<std::size_t>(j)];
@@ -87,7 +86,7 @@ Solution solve_milp_reference(const Problem& problem,
     stack.pop_back();
 
     // Bound pruning against the incumbent before paying for an LP solve.
-    if (node.parent_bound >= incumbent - options.absolute_gap) continue;
+    if (node.parent_bound >= incumbent - kAbsoluteGap) continue;
 
     // Apply this node's bounds on top of the root problem.
     scratch = problem;
@@ -103,7 +102,7 @@ Solution solve_milp_reference(const Problem& problem,
     if (empty_interval) continue;
 
     ++nodes;
-    Solution relax = solve_lp(scratch, options.lp);
+    Solution relax = solve_lp(scratch);
     total_iterations += relax.iterations;
     if (relax.status == SolveStatus::kUnbounded) {
       // An unbounded relaxation at the root means the MILP is unbounded
@@ -122,13 +121,12 @@ Solution solve_milp_reference(const Problem& problem,
       root_bound = bound;
       root_known = true;
     }
-    if (bound >= incumbent - options.absolute_gap &&
-        bound >= incumbent - options.relative_gap * std::abs(incumbent)) {
+    if (bound >= incumbent - kAbsoluteGap &&
+        bound >= incumbent - kRelativeGap * std::abs(incumbent)) {
       continue;  // cannot improve
     }
 
-    const int branch_var =
-        pick_branch_variable(problem, relax.x, options.integrality_tol);
+    const int branch_var = pick_branch_variable(problem, relax.x);
     if (branch_var < 0) {
       // Integral: new incumbent.
       if (bound < incumbent) {

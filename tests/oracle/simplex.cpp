@@ -52,7 +52,7 @@ class Tableau {
       load_phase1_costs();
       const SolveStatus st = iterate(/*phase1=*/true);
       if (st != SolveStatus::kOptimal) return st;
-      if (cost_value_ > options_.feasibility_tol) return SolveStatus::kInfeasible;
+      if (cost_value_ > kFeasibilityTol) return SolveStatus::kInfeasible;
       purge_artificials_from_basis();
     }
     load_phase2_costs();
@@ -186,7 +186,7 @@ class Tableau {
       if (!is_artificial_[static_cast<std::size_t>(b)]) continue;
       int entering = -1;
       for (int j = 0; j < first_artificial_; ++j) {
-        if (std::abs(at(i, j)) > options_.pivot_tol) {
+        if (std::abs(at(i, j)) > kPivotTol) {
           entering = j;
           break;
         }
@@ -217,7 +217,7 @@ class Tableau {
         best_seen = cost_value_;
         since_improvement = 0;
         bland = false;
-      } else if (++since_improvement > options_.stall_threshold) {
+      } else if (++since_improvement > kStallThreshold) {
         bland = true;
       }
     }
@@ -225,11 +225,11 @@ class Tableau {
 
   int choose_entering(bool phase1, bool bland) const {
     int best = -1;
-    double best_rc = -options_.optimality_tol;
+    double best_rc = -kOptimalityTol;
     for (int j = 0; j < n_total_; ++j) {
       if (!phase1 && is_artificial_[static_cast<std::size_t>(j)]) continue;
       const double rc = cost_row_[static_cast<std::size_t>(j)];
-      if (rc < -options_.optimality_tol) {
+      if (rc < -kOptimalityTol) {
         if (bland) return j;  // first (smallest index) negative column
         if (rc < best_rc) {
           best_rc = rc;
@@ -252,7 +252,7 @@ class Tableau {
     double min_ratio = kInfinity;
     for (int i = 0; i < m_; ++i) {
       const double a = at(i, entering);
-      if (a <= options_.pivot_tol) continue;
+      if (a <= kPivotTol) continue;
       // Clamp tiny negative rhs (round-off) to zero so the ratio test never
       // produces a negative step.
       const double ratio = std::max(rhs(i), 0.0) / a;
@@ -262,7 +262,7 @@ class Tableau {
     int best = -1;
     for (int i = 0; i < m_; ++i) {
       const double a = at(i, entering);
-      if (a <= options_.pivot_tol) continue;
+      if (a <= kPivotTol) continue;
       const double ratio = std::max(rhs(i), 0.0) / a;
       if (ratio <= min_ratio + 1e-12 &&
           (best < 0 || basis_[static_cast<std::size_t>(i)] <

@@ -9,6 +9,12 @@
 
 namespace billcap::lp {
 
+/// The oracle's one settable limit: simplex_test drives it to 0 to pin the
+/// kIterationLimit status. The tolerances are lp/milp.hpp's constants.
+struct SimplexOptions {
+  long max_iterations = kMaxSimplexIterations;
+};
+
 /// Solves the LP relaxation of `problem` (integrality marks are ignored)
 /// with a dense two-phase tableau simplex.
 ///

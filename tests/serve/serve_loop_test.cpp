@@ -82,9 +82,12 @@ void expect_reports_bitwise_equal(const ServeReport& a, const ServeReport& b) {
   }
 }
 
-void remove_generations(const std::string& path, std::size_t gens) {
+/// Removes every file a checkpoint at `path` can leave behind: `gens`
+/// rotated generations plus the one-generation commit log.
+void remove_checkpoint(const std::string& path, std::size_t gens = 1) {
   for (std::size_t g = 0; g < gens; ++g)
     std::remove(util::Journal::generation_path(path, g).c_str());
+  std::remove(util::JournalCommitter::log_path(path).c_str());
 }
 
 TEST(ServeLoopTest, InMemoryRunCompletesTheHorizon) {
@@ -127,10 +130,10 @@ TEST(ServeLoopTest, KillAndResumeReproducesTheCleanRunBitwise) {
   const ServeConfig clean_cfg = short_serve_config();
   const ServeLoop clean_loop(sim, clean_cfg);
   const std::string clean_path = temp_path("billcap_serve_clean.j");
-  std::remove(clean_path.c_str());
+  remove_checkpoint(clean_path);
   const ServeOutcome want = clean_loop.run(clean_path, false);
   ASSERT_FALSE(want.crashed);
-  std::remove(clean_path.c_str());
+  remove_checkpoint(clean_path);
 
   // Same daemon, three deaths — including two at the same tick (the second
   // restart must die again at tick 6 before finally passing it).
@@ -138,7 +141,7 @@ TEST(ServeLoopTest, KillAndResumeReproducesTheCleanRunBitwise) {
   cfg.kill_at_ticks = {2, 6, 6};
   const ServeLoop loop(sim, cfg);
   const std::string path = temp_path("billcap_serve_kills.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   ServeOutcome outcome = loop.run(path, /*resume=*/false);
   std::size_t deaths = 0;
@@ -150,7 +153,7 @@ TEST(ServeLoopTest, KillAndResumeReproducesTheCleanRunBitwise) {
   EXPECT_EQ(deaths, 3u);
   EXPECT_EQ(outcome.report.ticks_committed, 12u);
   expect_reports_bitwise_equal(want.report, outcome.report);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(ServeLoopTest, GracefulStopLeavesAResumableCheckpoint) {
@@ -158,12 +161,12 @@ TEST(ServeLoopTest, GracefulStopLeavesAResumableCheckpoint) {
   const ServeConfig cfg = short_serve_config();
   const ServeLoop loop(sim, cfg);
   const std::string clean_path = temp_path("billcap_serve_stop_ref.j");
-  std::remove(clean_path.c_str());
+  remove_checkpoint(clean_path);
   const ServeOutcome want = loop.run(clean_path, false);
-  std::remove(clean_path.c_str());
+  remove_checkpoint(clean_path);
 
   const std::string path = temp_path("billcap_serve_stop.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   ServeLoop::Controls controls;
   controls.max_ticks = 5;
   ServeOutcome outcome = loop.run(path, /*resume=*/false, {}, controls);
@@ -177,7 +180,7 @@ TEST(ServeLoopTest, GracefulStopLeavesAResumableCheckpoint) {
   EXPECT_EQ(outcome.resumed_from_tick, 5u);
   EXPECT_EQ(outcome.report.ticks_committed, 12u);
   expect_reports_bitwise_equal(want.report, outcome.report);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(ServeLoopTest, StandbyPinsPremiumOnlyAndBypassesKills) {
@@ -187,7 +190,7 @@ TEST(ServeLoopTest, StandbyPinsPremiumOnlyAndBypassesKills) {
   cfg.kill_at_ticks = {1, 4};  // must NOT fire on a standby attempt
   const ServeLoop loop(sim, cfg);
   const std::string path = temp_path("billcap_serve_standby.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   const ServeOutcome outcome = loop.run(path, /*resume=*/false);
   EXPECT_FALSE(outcome.crashed);
@@ -198,7 +201,7 @@ TEST(ServeLoopTest, StandbyPinsPremiumOnlyAndBypassesKills) {
     EXPECT_EQ(rec.health, ServeHealth::kStandby);
     EXPECT_FALSE(rec.replanned);  // no MILP on the standby rung
   }
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(ServeLoopTest, StandbyResumesThePrimarysCheckpoint) {
@@ -209,7 +212,7 @@ TEST(ServeLoopTest, StandbyResumesThePrimarysCheckpoint) {
   primary_cfg.kill_at_ticks = {7};
   const ServeLoop primary(sim, primary_cfg);
   const std::string path = temp_path("billcap_serve_handoff.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 
   ServeOutcome outcome = primary.run(path, /*resume=*/false);
   ASSERT_TRUE(outcome.crashed);
@@ -232,14 +235,14 @@ TEST(ServeLoopTest, StandbyResumesThePrimarysCheckpoint) {
   outcome = primary.run(path, /*resume=*/true);
   EXPECT_FALSE(outcome.crashed);
   EXPECT_EQ(outcome.report.ticks_committed, 12u);
-  std::remove(path.c_str());
+  remove_checkpoint(path);
 }
 
 TEST(ServeLoopTest, SupervisorProbeReadsServeCheckpointProgress) {
   const core::Simulator sim(small_config());
   const ServeLoop loop(sim, short_serve_config());
   const std::string path = temp_path("billcap_serve_probe.j");
-  remove_generations(path, 2);
+  remove_checkpoint(path, 2);
 
   // Stop after 5 committed ticks: generation 0 holds next_tick 5 and the
   // previous commit (next_tick 4) survives as generation 1.
@@ -259,7 +262,7 @@ TEST(ServeLoopTest, SupervisorProbeReadsServeCheckpointProgress) {
     stomp << "garbage";
   }
   EXPECT_EQ(core::probe_checkpoint_hour(path, 2), 4u);
-  remove_generations(path, 2);
+  remove_checkpoint(path, 2);
 }
 
 TEST(ServeLoopTest, SupervisorProbeReplaysTheServeCommitLog) {
@@ -268,7 +271,7 @@ TEST(ServeLoopTest, SupervisorProbeReplaysTheServeCommitLog) {
   const core::Simulator sim(small_config());
   const ServeLoop loop(sim, short_serve_config());
   const std::string path = temp_path("billcap_serve_probe_log.j");
-  std::remove(path.c_str());
+  remove_checkpoint(path);
   ServeLoop::Controls controls;
   controls.max_ticks = 5;
   const ServeOutcome outcome = loop.run(path, false, {}, controls);
@@ -276,8 +279,7 @@ TEST(ServeLoopTest, SupervisorProbeReplaysTheServeCommitLog) {
   EXPECT_EQ(outcome.durability.snapshots, 1u);
   EXPECT_EQ(outcome.durability.appends, 4u);
   EXPECT_EQ(core::probe_checkpoint_hour(path, 1), 5u);
-  std::remove(path.c_str());
-  std::remove(util::JournalCommitter::log_path(path).c_str());
+  remove_checkpoint(path);
 }
 
 std::uint64_t hash_of(const std::string& text) {
@@ -308,8 +310,7 @@ TEST(ServeLoopTest, ReplayedStateMatchesEveryCommittedTickThroughAKillStorm) {
 
   const auto run = [&](const std::string& path, std::size_t keep,
                        const auto& observe, util::DurabilityStats& last) {
-    remove_generations(path, keep);
-    std::remove(util::JournalCommitter::log_path(path).c_str());
+    remove_checkpoint(path, keep);
     std::vector<std::uint64_t> seen;
     const auto on_tick = [&](const TickRecord&) {
       if (std::filesystem::exists(path)) seen.push_back(hash_of(observe(path)));
@@ -326,8 +327,7 @@ TEST(ServeLoopTest, ReplayedStateMatchesEveryCommittedTickThroughAKillStorm) {
     EXPECT_EQ(attempts, cfg.kill_at_ticks.size() + 1);
     EXPECT_EQ(out.report.ticks_committed, loop.total_ticks());
     last = out.durability;
-    remove_generations(path, keep);
-    std::remove(util::JournalCommitter::log_path(path).c_str());
+    remove_checkpoint(path, keep);
     return seen;
   };
 

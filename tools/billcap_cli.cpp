@@ -11,7 +11,8 @@
 //                      [--feed-retry-prob p] [--feed-max-retries N]
 //                      [--checkpoint path] [--resume]
 //                      [--keep-generations K] [--die-on-crash]
-//                      [--exit-storm h:n,...] [--corrupt-checkpoint-at h,..]
+//                      [--exit-storm h:n,...]
+//                      [--corrupt-checkpoint-at h,.. (needs K >= 2)]
 //                      [--standby [--standby-hours N]]
 //                      [--min-premium r]
 //                      [--closed-loop [--coupler-max-iters N]
@@ -20,7 +21,8 @@
 //                      [--line-outage l:start:dur,...]
 //                      [--bg-shock bus:start:dur:mult,...]
 //                      [--congestion-spike l:start:dur:factor,...]
-//   billcap serve      [simulate config/fault flags...]
+//   billcap serve      [simulate config/fault flags except --crash-at,
+//                       --crash-rate, --exit-storm, --corrupt-checkpoint-at]
 //                      [--flash-crowds start:dur:mult,...]
 //                      [--feed-bursts start:dur:updates,...]
 //                      [--ticks-per-hour T] [--hours H]
@@ -100,18 +102,21 @@ constexpr std::string_view kMonthFlags[] = {
     "budget", "policy", "seed", "no-cap", "min-premium", "csv",
     "checkpoint", "resume", "keep-generations", "standby", "standby-hours",
     // parse_faults
-    "outages", "stale", "shocks", "squeezes", "crash-at", "exit-storm",
-    "corrupt-checkpoint-at", "flash-crowds", "feed-bursts", "line-outage",
-    "bg-shock", "congestion-spike", "fault-outage-rate", "fault-stale-rate",
-    "fault-shock-rate", "fault-squeeze-rate", "crash-rate",
+    "outages", "stale", "shocks", "squeezes", "flash-crowds", "feed-bursts",
+    "line-outage", "bg-shock", "congestion-spike", "fault-outage-rate",
+    "fault-stale-rate", "fault-shock-rate", "fault-squeeze-rate",
     "fault-outage-mean", "fault-stale-mean", "fault-shock-mean",
     "fault-squeeze-mean", "feed-retry-prob", "feed-max-retries",
-    "feed-backoff-ms", "deadline-ms", "warm-solver",
+    "feed-backoff-ms", "deadline-ms",
     // parse_coupler
     "closed-loop", "coupler-max-iters", "coupler-gain", "damping",
     "coupler-open-plan"};
-constexpr std::string_view kSimulateFlags[] = {"strategy", "months",
-                                               "die-on-crash"};
+/// simulate's own flags, including the hour-granular controller-death
+/// faults that parse_faults reads but only the batch month fires (serve
+/// injects its deaths with --kill-at-ticks).
+constexpr std::string_view kSimulateFlags[] = {
+    "strategy", "months", "die-on-crash", "crash-at", "crash-rate",
+    "exit-storm", "corrupt-checkpoint-at"};
 constexpr std::string_view kServeFlags[] = {
     "ticks-per-hour", "hours", "premium-queue-ticks", "ordinary-queue-ticks",
     "feed-queue", "feed-drain", "stale-ticks", "breaker-trip",
@@ -126,6 +131,16 @@ constexpr std::string_view kSupervisorFlags[] = {
 constexpr std::string_view kSweepFlags[] = {"budgets", "policy", "seed"};
 constexpr std::string_view kOpfFlags[] = {"load"};
 constexpr std::string_view kTraceFlags[] = {"seed"};
+
+/// The bit-rot drill stomps the newest checkpoint generation, so the resume
+/// needs an older one to fall back to: with a single generation the run
+/// could only end in "no viable generation" (exit 1).
+void require_fallback_generation(const util::CliArgs& args,
+                                 std::size_t keep_generations) {
+  if (args.has("corrupt-checkpoint-at") && keep_generations < 2)
+    throw util::UsageError(
+        "--corrupt-checkpoint-at requires --keep-generations >= 2");
+}
 
 core::Strategy parse_strategy(const std::string& name) {
   if (name == "costcapping") return core::Strategy::kCostCapping;
@@ -300,13 +315,6 @@ void parse_faults(const util::CliArgs& args, core::SimulationConfig& config) {
   if (args.has("deadline-ms"))
     config.optimizer.milp.time_limit_ms =
         args.get_positive_double("deadline-ms", 0.0);
-
-  // Hour-over-hour solver warm starts. Like --replan-deadline-ms this
-  // trades bitwise kill/resume reproducibility for speed (a resumed run
-  // starts with empty solver arenas); within one process results stay
-  // deterministic. The flag is mixed into the checkpoint digest so warm
-  // and cold trajectories cannot be silently mixed across a resume.
-  config.optimizer.warm_hourly_solver = args.get_bool("warm-solver", false);
 }
 
 /// Parses the closed-loop coupler flags. --closed-loop turns the coupler
@@ -419,6 +427,7 @@ int cmd_simulate(const util::CliArgs& args) {
       !config.fault_plan.checkpoint_corruptions.empty())
     throw util::UsageError(
         "--corrupt-checkpoint-at requires --checkpoint <path>");
+  require_fallback_generation(args, keep_generations);
   if (die_on_crash && checkpoint_path.empty())
     throw util::UsageError("--die-on-crash requires --checkpoint <path>");
   if (args.has("standby-hours") && !config.standby)
@@ -958,6 +967,7 @@ int cmd_supervise(int argc, char** argv, const util::CliArgs& args) {
       static_cast<std::size_t>(args.get_positive_long("standby-hours", 4));
   const auto keep_generations = static_cast<std::size_t>(
       args.get_positive_long("keep-generations", 3));
+  require_fallback_generation(args, keep_generations);
 
   // Forward the child's own flags verbatim (after require_known, every flag
   // the supervisor does not keep is one the child's tables list).
@@ -1038,7 +1048,7 @@ int cmd_help() {
       "              controller deaths, survived via the checkpoint)\n"
       "              --exit-storm hour:count,...  (repeated no-progress\n"
       "              deaths) --corrupt-checkpoint-at h,... (bit rot in the\n"
-      "              newest checkpoint generation)\n"
+      "              newest checkpoint generation; needs K >= 2)\n"
       "              --keep-generations K  checkpoint generations (default\n"
       "              1: a snapshot plus an appended commit log <path>.log;\n"
       "              K >= 2: a rotated whole snapshot every hour)\n"
@@ -1057,13 +1067,13 @@ int cmd_help() {
       "              (breaker), counts degraded, and exits 0 unless the\n"
       "              premium guarantee itself breaks (exit 3).\n"
       "            --deadline-ms M   hard wall-clock limit per solve\n"
-      "            --warm-solver     hour-over-hour solver warm starts\n"
-      "                              (faster; costs bitwise kill/resume)\n"
       "            --min-premium r   exit 3 if premium throughput < r\n"
       "  serve     overload-safe serving daemon: the month at sub-hour ticks\n"
       "            through a bounded ingest plane, an admission ladder and a\n"
       "            breaker-guarded re-plan engine. Takes simulate's config\n"
-      "            and fault flags, plus: --ticks-per-hour N  --hours H\n"
+      "            and fault flags except the batch-only deaths (--crash-at\n"
+      "            --crash-rate --exit-storm --corrupt-checkpoint-at), plus:\n"
+      "            --ticks-per-hour N  --hours H\n"
       "            --premium-queue-ticks --ordinary-queue-ticks (capacity in\n"
       "            mean tick arrivals) --feed-queue N --feed-drain N\n"
       "            --stale-ticks N (re-plan staleness tolerance)\n"
