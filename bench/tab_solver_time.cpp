@@ -6,12 +6,15 @@
 // Two parts. The custom main first runs the solver-engine comparison — a
 // month of hourly min-cost MILPs on exactly that problem shape, solved by
 // the legacy reference engine (from the test oracle library in
-// tests/oracle/), by a cold arena (fresh ArenaSolver per hour) and by a
-// warm arena (one solver carrying its basis hour over hour; no controller
-// path enables this) — verifies all three agree on every objective, and
-// drops the numbers as BENCH_solver.json (archived by tools/ci.sh). Then the
-// google-benchmark micro benches below time the production entry points
-// across workload magnitudes; pass --benchmark_filter=^$ to skip them.
+// tests/oracle/), by a cold arena (fresh ArenaSolver per hour), by a warm
+// arena (one solver carrying its basis hour over hour; no controller path
+// enables this) and by the segment allocator the controller runs for step
+// 1 (core::allocate_min_cost, exact without an LP) — verifies all four
+// agree on every objective, and drops the numbers as BENCH_solver.json
+// (archived by tools/ci.sh). The branch-and-bound rows are the ones
+// faithful to the paper's lp_solve. Then the google-benchmark micro benches
+// below time the production entry points across workload magnitudes; pass
+// --benchmark_filter=^$ to skip them.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +31,7 @@
 #include "core/bill_capper.hpp"
 #include "core/cost_minimizer.hpp"
 #include "core/formulation.hpp"
+#include "core/segment_allocator.hpp"
 #include "core/throughput_maximizer.hpp"
 #include "datacenter/catalog.hpp"
 #include "lp/arena_solver.hpp"
@@ -79,7 +83,8 @@ double microseconds_since(std::chrono::steady_clock::time_point start) {
 /// disagrees with the reference — the benchmark numbers are only worth
 /// publishing at equal objectives.
 bool write_solver_bench_json() {
-  bench::heading("solver engines: reference vs cold arena vs warm arena");
+  bench::heading(
+      "solver engines: reference vs cold arena vs warm arena vs allocator");
   const Fixture& f = fixture();
   std::vector<core::SiteModel> models;
   models.reserve(f.sites.size());
@@ -90,12 +95,14 @@ bool write_solver_bench_json() {
   // A month of hourly problems on a diurnal arrival curve, built up front
   // so problem construction never pollutes the solve timings.
   constexpr int kHours = 720;
+  std::vector<double> lambdas;
   std::vector<lp::Problem> problems;
+  lambdas.reserve(kHours);
   problems.reserve(kHours);
   for (int h = 0; h < kHours; ++h) {
-    const double lambda =
-        5e11 + 3.5e11 * std::sin(2.0 * 3.14159265358979323846 * h / 24.0);
-    problems.push_back(min_cost_problem(models, lambda));
+    lambdas.push_back(5e11 + 3.5e11 * std::sin(2.0 * 3.14159265358979323846 *
+                                               h / 24.0));
+    problems.push_back(min_cost_problem(models, lambdas.back()));
   }
 
   std::vector<double> ref_obj(kHours, 0.0);
@@ -151,6 +158,21 @@ bool write_solver_bench_json() {
     if (!check(h, warm.solve(problems[h]), "arena warm")) return false;
   const double warm_us = microseconds_since(t_warm) / kHours;
   const lp::ArenaStats& ws = warm.stats();
+
+  // The segment allocator on the same hours, checked like an engine.
+  long allocator_nodes = 0;
+  // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
+  const auto t_alloc = std::chrono::steady_clock::now();
+  for (int h = 0; h < kHours; ++h) {
+    const core::AllocationResult r =
+        core::allocate_min_cost(models, lambdas[static_cast<std::size_t>(h)]);
+    lp::Solution s;
+    s.status = r.status;
+    s.objective = r.predicted_cost;
+    if (!check(h, s, "segment allocator")) return false;
+    allocator_nodes += r.nodes;
+  }
+  const double alloc_us = microseconds_since(t_alloc) / kHours;
   const long warm_attempts = ws.warm_solves + ws.warm_fallbacks;
   const double fallback_rate =
       warm_attempts > 0
@@ -174,11 +196,13 @@ bool write_solver_bench_json() {
       cold_stats.nodes_explored);
   row("arena warm", warm_us, ws.primal_iterations + ws.dual_iterations,
       ws.nodes_explored);
+  row("segment allocator (controller)", alloc_us, 0, allocator_nodes);
   table.print(std::cout);
   std::printf("warm vs cold (from-scratch): %.1fx  warm vs arena cold: "
-              "%.1fx  fallback rate: %.4f  max |obj diff|: %.3g\n",
-              ref_us / warm_us, cold_us / warm_us, fallback_rate,
-              max_rel_diff);
+              "%.1fx  allocator vs arena cold: %.1fx  fallback rate: %.4f  "
+              "max |obj diff|: %.3g\n",
+              ref_us / warm_us, cold_us / warm_us, cold_us / alloc_us,
+              fallback_rate, max_rel_diff);
 
   const std::string path = "BENCH_solver.json";
   // billcap-lint: allow(raw-write): bench artifact, regenerated every run; no resume path reads it
@@ -203,8 +227,11 @@ bool write_solver_bench_json() {
       " \"nodes_per_solve\": %.3f, \"warm_solves\": %ld,"
       " \"warm_fallbacks\": %ld, \"fallback_rate\": %.6f,"
       " \"node_warm_solves\": %ld, \"node_cold_solves\": %ld},\n"
+      "  \"allocator\": {\"engine\": \"exact segment enumeration, no LP\","
+      " \"us_per_solve\": %.3f, \"nodes_per_solve\": %.3f},\n"
       "  \"speedup_warm_vs_cold\": %.3f,\n"
       "  \"speedup_warm_vs_arena_cold\": %.3f,\n"
+      "  \"speedup_allocator_vs_arena_cold\": %.3f,\n"
       "  \"max_objective_rel_diff\": %.3g\n"
       "}\n",
       f.sites.size(), kHours, ref_us, cold_us,
@@ -215,7 +242,9 @@ bool write_solver_bench_json() {
       static_cast<double>(ws.primal_iterations + ws.dual_iterations) / kHours,
       static_cast<double>(ws.nodes_explored) / kHours, ws.warm_solves,
       ws.warm_fallbacks, fallback_rate, ws.node_warm_solves,
-      ws.node_cold_solves, ref_us / warm_us, cold_us / warm_us, max_rel_diff);
+      ws.node_cold_solves, alloc_us,
+      static_cast<double>(allocator_nodes) / kHours, ref_us / warm_us,
+      cold_us / warm_us, cold_us / alloc_us, max_rel_diff);
   out << buf;
   out.close();
   std::printf("[data] %s\n", std::filesystem::absolute(path).string().c_str());

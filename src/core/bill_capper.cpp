@@ -182,7 +182,7 @@ CappingOutcome BillCapper::decide(double lambda_premium,
   // Step 1: cost minimization for the full (admitted) workload.
   // Degradation ladder: optimal -> limit-solve incumbent -> greedy.
   AllocationResult min_cost =
-      minimize_cost_over_models(models, lambda_total, opts, min_cost_solver_);
+      minimize_cost_over_models(models, lambda_total, opts);
   if (!min_cost.ok()) {
     mark_degraded(min_cost.status);
     if (min_cost.feasible) {
@@ -245,7 +245,7 @@ CappingOutcome BillCapper::decide(double lambda_premium,
   // Budget cannot even cover premium: guarantee premium QoS at minimum
   // cost and accept the violation (Section V-B).
   AllocationResult premium_only =
-      minimize_cost_over_models(models, premium, opts, premium_solver_);
+      minimize_cost_over_models(models, premium, opts);
   if (!premium_only.ok()) {
     mark_degraded(premium_only.status);
     if (premium_only.feasible) {

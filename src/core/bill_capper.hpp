@@ -14,12 +14,12 @@ namespace billcap::core {
 /// greedy heuristic) instead of a clean optimal solve.
 enum class FailureReason {
   kNone,            ///< clean optimal solves all the way
-  kNodeLimit,       ///< branch-and-bound node budget exhausted
+  kNodeLimit,       ///< node budget exhausted (B&B or enumeration nodes)
   kIterationLimit,  ///< simplex pivot budget exhausted
   kTimeLimit,       ///< wall-clock solver deadline expired
   kInfeasible,      ///< solver reported infeasible (numerical trouble)
   kUnbounded,       ///< solver reported unbounded (model corruption)
-  kArenaExhausted,  ///< solver arena byte cap hit (lp::kArenaExhausted)
+  kArenaExhausted,  ///< solver byte cap hit (lp::kArenaExhausted)
   kThrown,          ///< chunk task threw; caught at the fault envelope
   kPriceOscillation,  ///< market coupler detected a price-load limit cycle
   kCouplerDiverged,   ///< coupler fixed point missed its iteration cap
@@ -72,11 +72,12 @@ struct DecideOptions {
   /// Wall-clock deadline for each MILP solve this hour; >= 0 overrides the
   /// configured MilpOptions::time_limit_ms, < 0 keeps it.
   double time_limit_ms = -1.0;
-  /// Branch-and-bound node budget for each MILP solve this hour; >= 0
-  /// overrides MilpOptions::max_nodes, < 0 keeps it. The fleet layer's
-  /// primary (deterministic) chunk deadline.
+  /// Node budget for each solve this hour (branch-and-bound nodes in step
+  /// 2, enumeration nodes in step 1 and premium-only); >= 0 overrides
+  /// MilpOptions::max_nodes, < 0 keeps it. The fleet layer's primary
+  /// (deterministic) chunk deadline.
   long max_nodes = -1;
-  /// Per-solve arena byte cap; nonzero tightens
+  /// Per-solve byte cap; nonzero tightens
   /// MilpOptions::max_arena_bytes for this hour's solves (arena exhaustion
   /// degrades the chunk with FailureReason::kArenaExhausted).
   std::size_t max_arena_bytes = 0;
@@ -126,15 +127,13 @@ class BillCapper {
   const std::vector<datacenter::DataCenter>& sites_;
   const std::vector<market::PricingPolicy>& policies_;
   OptimizerOptions options_;
-  // One persistent solver per solve role, kept as an allocation cache: each
-  // role's tableau and node pool are reserved once and reused hour over
-  // hour instead of reallocated per solve. No basis carries over between
-  // calls (cross-solve warm starts are off), so decide() remains a pure
-  // function of its arguments. Mutable: the arenas are a cache, not an
-  // observable property of the capper.
-  mutable lp::ArenaSolver min_cost_solver_;
+  // Step 2's solver, kept as an allocation cache: its tableau and node pool
+  // are reserved once and reused hour over hour instead of reallocated per
+  // solve. No basis carries over between calls (cross-solve warm starts are
+  // off), so decide() remains a pure function of its arguments. Mutable:
+  // the arena is a cache, not an observable property of the capper. Step 1
+  // and premium-only run the stateless segment allocator.
   mutable lp::ArenaSolver throughput_solver_;
-  mutable lp::ArenaSolver premium_solver_;
 };
 
 }  // namespace billcap::core

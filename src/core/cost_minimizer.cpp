@@ -2,34 +2,21 @@
 
 #include <stdexcept>
 
+#include "core/segment_allocator.hpp"
+
 namespace billcap::core {
 
 AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options) {
-  // Solve-local arena: within-call warm starts only, cross-call state none.
-  lp::ArenaSolver solver;
-  return minimize_cost_over_models(models, lambda_total, options, solver);
+  return allocate_min_cost(models, lambda_total, options.milp);
 }
 
 AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options,
-                                           lp::ArenaSolver& solver) {
-  if (lambda_total < 0.0)
-    throw std::invalid_argument("minimize_cost: negative demand");
-
-  AllocationFormulation f = build_allocation_formulation(models);
-  f.problem.set_sense(lp::Sense::kMinimize);
-
-  std::vector<lp::Term> demand_terms;
-  demand_terms.reserve(models.size());
-  for (const SiteVars& v : f.vars) demand_terms.push_back({v.lambda, 1.0});
-  f.problem.add_constraint("demand", std::move(demand_terms),
-                           lp::Relation::kEqual, lambda_total / kLambdaScale);
-
-  const lp::Solution solution = solver.solve(f.problem, options.milp);
-  return decode_solution(f, models, solution);
+                                           lp::ArenaSolver& /*unused*/) {
+  return minimize_cost_over_models(models, lambda_total, options);
 }
 
 AllocationResult minimize_cost(

@@ -13,8 +13,11 @@ namespace billcap::core {
 /// electricity cost
 ///   min  sum_i Pr_i(p_i + d_i) * p_i
 ///   s.t. sum_i lambda_i = lambda_total,  p_i <= Ps_i,  R_i <= Rs_i,
-/// with the price-maker step pricing and the full three-part power model
-/// linearized into a MILP (segment binaries per price level, Section IV-C).
+/// with the price-maker step pricing and the full three-part power model —
+/// the paper's MILP with segment binaries per price level (Section IV-C),
+/// solved exactly by segment enumeration (core::allocate_min_cost; the
+/// MILP itself stays in build_allocation_formulation for the differential
+/// tests and the solver bench). options.milp carries the limits.
 ///
 /// Returns kInfeasible when lambda_total exceeds what the believed site
 /// models can absorb (the caller decides how to shed load).
@@ -30,9 +33,9 @@ AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options = {});
 
-/// Same, solving on a caller-owned lp::ArenaSolver, so a long-lived caller
-/// reuses one reserved arena hour over hour; the three-argument overload
-/// uses a solve-local arena instead.
+/// Same; the solver argument is unused. The overload stays for the callers
+/// that still pass an arena (the benchmark's step-1 probe) until the next
+/// benchmark change drops it.
 AllocationResult minimize_cost_over_models(std::span<const SiteModel> models,
                                            double lambda_total,
                                            const OptimizerOptions& options,

@@ -30,7 +30,7 @@ const char* to_string(ChunkStatus status) noexcept;
 /// assist mirrors serve's re-plan engine: off by default, opt-in for
 /// latency-sensitive deployments that accept losing determinism.
 struct ChunkDeadline {
-  long max_nodes = 20'000;     ///< per-solve branch-and-bound budget
+  long max_nodes = 20'000;     ///< per-solve node budget (MilpOptions)
   double wall_clock_ms = 0.0;  ///< > 0 adds a wall-clock ceiling per solve
 };
 

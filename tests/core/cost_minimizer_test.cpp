@@ -172,11 +172,12 @@ TEST_F(CostMinimizerTest, ServerOnlyAblationUnderestimatesPower) {
 }
 
 TEST_F(CostMinimizerTest, ReportsSearchStatistics) {
+  // The segment allocator counts enumeration nodes and pivots no simplex.
   const AllocationResult r =
       minimize_cost(sites_, policies_, demand_, 6e11);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.nodes, 1);
-  EXPECT_GE(r.iterations, 1);
+  EXPECT_EQ(r.iterations, 0);
 }
 
 }  // namespace
