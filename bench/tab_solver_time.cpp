@@ -6,15 +6,15 @@
 // Two parts. The custom main first runs the solver-engine comparison — a
 // month of hourly min-cost MILPs on exactly that problem shape, solved by
 // the legacy reference engine (from the test oracle library in
-// tests/oracle/), by a cold arena (fresh ArenaSolver per hour), by a warm
-// arena (one solver carrying its basis hour over hour; no controller path
-// enables this) and by the segment allocator the controller runs for step
-// 1 (core::allocate_min_cost, exact without an LP) — verifies all four
-// agree on every objective, and drops the numbers as BENCH_solver.json
-// (archived by tools/ci.sh). The branch-and-bound rows are the ones
-// faithful to the paper's lp_solve. Then the google-benchmark micro benches
-// below time the production entry points across workload magnitudes; pass
-// --benchmark_filter=^$ to skip them.
+// tests/oracle/), by the arena (a fresh ArenaSolver per hour) and by the
+// segment allocator the controller runs for step 1
+// (core::allocate_min_cost, exact without an LP) — verifies all three
+// agree on every objective, and drops the numbers with the host they were
+// taken on as BENCH_solver.json (archived by tools/ci.sh). The
+// branch-and-bound rows are the ones faithful to the paper's lp_solve.
+// Then the google-benchmark micro benches below time the production entry
+// points across workload magnitudes; pass --benchmark_filter=^$ to skip
+// them.
 
 #include <benchmark/benchmark.h>
 
@@ -55,7 +55,7 @@ const Fixture& fixture() {
   return f;
 }
 
-// ---- BENCH_solver.json: cold vs warm engine comparison ---------------------
+// ---- BENCH_solver.json: engine comparison ----------------------------------
 
 /// The hourly min-cost MILP at a given total arrival rate — the same
 /// formulation BillCapper's step 1 solves every invocation period.
@@ -83,8 +83,7 @@ double microseconds_since(std::chrono::steady_clock::time_point start) {
 /// disagrees with the reference — the benchmark numbers are only worth
 /// publishing at equal objectives.
 bool write_solver_bench_json() {
-  bench::heading(
-      "solver engines: reference vs cold arena vs warm arena vs allocator");
+  bench::heading("solver engines: reference vs arena vs allocator");
   const Fixture& f = fixture();
   std::vector<core::SiteModel> models;
   models.reserve(f.sites.size());
@@ -151,14 +150,6 @@ bool write_solver_bench_json() {
   }
   const double cold_us = microseconds_since(t_cold) / kHours;
 
-  lp::ArenaSolver warm(lp::ArenaConfig{.warm_across_solves = true});
-  // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
-  const auto t_warm = std::chrono::steady_clock::now();
-  for (int h = 0; h < kHours; ++h)
-    if (!check(h, warm.solve(problems[h]), "arena warm")) return false;
-  const double warm_us = microseconds_since(t_warm) / kHours;
-  const lp::ArenaStats& ws = warm.stats();
-
   // The segment allocator on the same hours, checked like an engine.
   long allocator_nodes = 0;
   // billcap-lint: allow(wall-clock): bench harness measures real solver latency, not simulated time
@@ -173,12 +164,6 @@ bool write_solver_bench_json() {
     allocator_nodes += r.nodes;
   }
   const double alloc_us = microseconds_since(t_alloc) / kHours;
-  const long warm_attempts = ws.warm_solves + ws.warm_fallbacks;
-  const double fallback_rate =
-      warm_attempts > 0
-          ? static_cast<double>(ws.warm_fallbacks) /
-                static_cast<double>(warm_attempts)
-          : 0.0;
 
   util::Table table({"engine", "us/solve", "pivots/solve", "nodes/solve"});
   const auto row = [&](const char* name, double us, long pivots, long nodes) {
@@ -194,15 +179,11 @@ bool write_solver_bench_json() {
   row("arena cold", cold_us,
       cold_stats.primal_iterations + cold_stats.dual_iterations,
       cold_stats.nodes_explored);
-  row("arena warm", warm_us, ws.primal_iterations + ws.dual_iterations,
-      ws.nodes_explored);
   row("segment allocator (controller)", alloc_us, 0, allocator_nodes);
   table.print(std::cout);
-  std::printf("warm vs cold (from-scratch): %.1fx  warm vs arena cold: "
-              "%.1fx  allocator vs arena cold: %.1fx  fallback rate: %.4f  "
-              "max |obj diff|: %.3g\n",
-              ref_us / warm_us, cold_us / warm_us, cold_us / alloc_us,
-              fallback_rate, max_rel_diff);
+  std::printf("arena cold vs cold (from-scratch): %.1fx  allocator vs "
+              "arena cold: %.1fx  max |obj diff|: %.3g\n",
+              ref_us / cold_us, cold_us / alloc_us, max_rel_diff);
 
   const std::string path = "BENCH_solver.json";
   // billcap-lint: allow(raw-write): bench artifact, regenerated every run; no resume path reads it
@@ -216,35 +197,25 @@ bool write_solver_bench_json() {
       buf, sizeof buf,
       "{\n"
       "  \"bench\": \"tab_solver_time\",\n"
+      "  \"host\": %s,\n"
       "  \"shape\": {\"sites\": %zu, \"price_levels\": 5, \"hours\": %d},\n"
       "  \"cold\": {\"engine\": \"legacy two-phase from scratch per node\","
       " \"us_per_solve\": %.3f},\n"
       "  \"arena_cold\": {\"engine\": \"arena + dual warm-started children,"
       " fresh per hour\", \"us_per_solve\": %.3f, \"pivots_per_solve\": %.3f,"
       " \"nodes_per_solve\": %.3f},\n"
-      "  \"arena_warm\": {\"engine\": \"arena carried hour over hour\","
-      " \"us_per_solve\": %.3f, \"pivots_per_solve\": %.3f,"
-      " \"nodes_per_solve\": %.3f, \"warm_solves\": %ld,"
-      " \"warm_fallbacks\": %ld, \"fallback_rate\": %.6f,"
-      " \"node_warm_solves\": %ld, \"node_cold_solves\": %ld},\n"
       "  \"allocator\": {\"engine\": \"exact segment enumeration, no LP\","
       " \"us_per_solve\": %.3f, \"nodes_per_solve\": %.3f},\n"
-      "  \"speedup_warm_vs_cold\": %.3f,\n"
-      "  \"speedup_warm_vs_arena_cold\": %.3f,\n"
       "  \"speedup_allocator_vs_arena_cold\": %.3f,\n"
       "  \"max_objective_rel_diff\": %.3g\n"
       "}\n",
-      f.sites.size(), kHours, ref_us, cold_us,
+      bench::host_json().c_str(), f.sites.size(), kHours, ref_us, cold_us,
       static_cast<double>(cold_stats.primal_iterations +
                           cold_stats.dual_iterations) /
           kHours,
-      static_cast<double>(cold_stats.nodes_explored) / kHours, warm_us,
-      static_cast<double>(ws.primal_iterations + ws.dual_iterations) / kHours,
-      static_cast<double>(ws.nodes_explored) / kHours, ws.warm_solves,
-      ws.warm_fallbacks, fallback_rate, ws.node_warm_solves,
-      ws.node_cold_solves, alloc_us,
-      static_cast<double>(allocator_nodes) / kHours, ref_us / warm_us,
-      cold_us / warm_us, cold_us / alloc_us, max_rel_diff);
+      static_cast<double>(cold_stats.nodes_explored) / kHours, alloc_us,
+      static_cast<double>(allocator_nodes) / kHours, cold_us / alloc_us,
+      max_rel_diff);
   out << buf;
   out.close();
   std::printf("[data] %s\n", std::filesystem::absolute(path).string().c_str());

@@ -129,10 +129,15 @@ class BillCapper {
   OptimizerOptions options_;
   // Step 2's solver, kept as an allocation cache: its tableau and node pool
   // are reserved once and reused hour over hour instead of reallocated per
-  // solve. No basis carries over between calls (cross-solve warm starts are
-  // off), so decide() remains a pure function of its arguments. Mutable:
-  // the arena is a cache, not an observable property of the capper. Step 1
-  // and premium-only run the stateless segment allocator.
+  // solve. No basis carries over between calls (every ArenaSolver root is
+  // solved cold), so without a byte cap decide() is a pure function of its
+  // arguments. Under a byte cap (milp.max_arena_bytes, or
+  // DecideOptions::max_arena_bytes as the fleet's arena squeeze sets it)
+  // it is not: ArenaSolver::solve and its tableau build count capacity
+  // that earlier solves reserved, so a capper that has solved larger hours
+  // can exhaust where a fresh one would not. Mutable: the arena is a
+  // cache, not an observable property of the capper. Step 1 and
+  // premium-only run the stateless segment allocator.
   mutable lp::ArenaSolver throughput_solver_;
 };
 

@@ -8,18 +8,12 @@
 
 namespace billcap::lp {
 
-/// Warm-start policy for ArenaSolver, fixed for the solver's lifetime.
-/// Everything that changes per *call* (node limit, deadline, byte cap)
-/// stays in MilpOptions.
+/// Construction options of ArenaSolver. Everything a solve is configured
+/// by (node limit, deadline, byte cap) lives in MilpOptions.
 struct ArenaConfig {
-  /// Reuse the previous solve's final basis as the starting point of the
-  /// next solve when the two problems share the same row structure (the
-  /// hourly bill-capping MILPs differ only in objective costs and rhs).
-  ///
-  /// OFF by default, and no controller path turns it on: a resumed month
-  /// starts with an empty arena, so a kill/resume run would diverge (at the
-  /// ulp level) from an uninterrupted one, and on the real hourly loop the
-  /// warm root almost never engages. Benches and tests exercise it.
+  /// Has no effect: every root is solved cold. Kept only so that
+  /// perfbench's warm-root probe, which sets it, still compiles; it goes
+  /// with that probe (ROADMAP item 4).
   bool warm_across_solves = false;
 };
 
@@ -27,8 +21,8 @@ struct ArenaConfig {
 /// lifetime; read them before/after a block to attribute a window.
 struct ArenaStats {
   long cold_solves = 0;       ///< root solved by two-phase from scratch
-  long warm_solves = 0;       ///< root served from the previous solve's basis
-  long warm_fallbacks = 0;    ///< warm attempts that fell back to cold
+  long warm_solves = 0;       ///< always 0: no root is solved warm
+  long warm_fallbacks = 0;    ///< always 0: no root is solved warm
   long node_warm_solves = 0;  ///< B&B children re-solved by dual simplex
   long node_cold_solves = 0;  ///< B&B children that needed a cold rebuild
   long primal_iterations = 0; ///< primal simplex pivots (phases 1+2)
@@ -40,17 +34,17 @@ struct ArenaStats {
 /// index arrays and a pooled branch-and-bound node stack, sized once per
 /// shape so the solve loops never allocate.
 ///
-/// Branch-and-bound children re-solve from the parent's basis with a dual
-/// simplex (bound branching only moves the rhs, so the resident tableau
-/// stays dual-feasible); each child costs a handful of pivots instead of a
-/// full two-phase solve. With `warm_across_solves` the final basis also
-/// carries over to the next solve() on the same row structure: new
-/// objective costs are reloaded and polished primal, then the new rhs is
-/// swapped in through B^-1 and repaired dual. Every warm path falls back
-/// to the cold two-phase solve when basis repair fails, so results match
-/// the legacy engine's statuses and objectives (the differential suite in
-/// tests/lp/solver_differential_test.cpp pins this to 1e-9 against the
-/// test-only oracle library in tests/oracle/).
+/// Every solve() starts cold: the root LP runs the legacy two-phase
+/// simplex, whatever earlier solves left in the arena. Branch-and-bound
+/// children re-solve from the parent's basis with a dual simplex (bound
+/// branching only moves the rhs, so the resident tableau stays
+/// dual-feasible); each child costs a handful of pivots instead of a full
+/// two-phase solve, and falls back to a cold rebuild when the repair
+/// fails. Results match the legacy engine's statuses and objectives (the
+/// differential suite in tests/lp/solver_differential_test.cpp pins this
+/// to 1e-9 against the test-only oracle library in tests/oracle/), and a
+/// reused solver returns bit for bit what a fresh one returns, unless a
+/// byte cap counts capacity that earlier solves reserved.
 ///
 /// This is the only LP engine the libraries ship: the hourly MILPs and the
 /// DC-OPF (market::solve_dcopf, which reads LMPs from the duals) both run
@@ -60,6 +54,7 @@ struct ArenaStats {
 /// reserved arena are the point of the class).
 class ArenaSolver {
  public:
+  /// The config has no effect (see ArenaConfig).
   explicit ArenaSolver(ArenaConfig config = {});
   ~ArenaSolver();
   ArenaSolver(const ArenaSolver&) = delete;
@@ -81,20 +76,13 @@ class ArenaSolver {
   /// are the LMPs). MILPs return no duals.
   Solution solve(const Problem& problem, const MilpOptions& options = {});
 
-  /// Drops any warm state; the next solve starts cold. Also called
-  /// implicitly when a solve's structure does not match the resident one.
-  void invalidate() noexcept;
-
   const ArenaStats& stats() const noexcept;
 
   /// Current arena footprint in bytes (tableau + cost row + node pool).
   std::size_t arena_bytes() const noexcept;
 
-  const ArenaConfig& config() const noexcept { return config_; }
-
  private:
   struct Impl;
-  ArenaConfig config_;
   std::unique_ptr<Impl> impl_;
 };
 

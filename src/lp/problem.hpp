@@ -65,8 +65,7 @@ class Problem {
   /// Replaces the objective coefficient of a variable.
   void set_objective(int var, double coef);
 
-  /// Replaces a constraint's right-hand side. Rhs-only edits preserve the
-  /// row structure ArenaSolver keys its warm starts on.
+  /// Replaces a constraint's right-hand side.
   void set_rhs(int row, double rhs);
 
   /// Adds `delta` to the objective coefficient of a variable (handy when a

@@ -1,61 +1,9 @@
 // billcap — command-line front end to the library.
 //
-//   billcap simulate   [--budget $] [--policy 0..3] [--strategy name]
-//                      [--seed N] [--no-cap] [--csv path]
-//                      [--outages s:start:dur,...] [--stale start:dur,...]
-//                      [--shocks s:start:dur:mult,...]
-//                      [--squeezes start:dur:ms,...] [--deadline-ms X]
-//                      [--fault-outage-rate p] [--fault-stale-rate p]
-//                      [--fault-shock-rate p] [--fault-squeeze-rate p]
-//                      [--fault-*-mean H] [--crash-rate p] [--crash-at h,..]
-//                      [--feed-retry-prob p] [--feed-max-retries N]
-//                      [--checkpoint path] [--resume]
-//                      [--keep-generations K] [--die-on-crash]
-//                      [--exit-storm h:n,...]
-//                      [--corrupt-checkpoint-at h,.. (needs K >= 2)]
-//                      [--standby [--standby-hours N]]
-//                      [--min-premium r]
-//                      [--closed-loop [--coupler-max-iters N]
-//                       [--coupler-gain G] [--damping off|ladder|full]
-//                       [--coupler-open-plan]]
-//                      [--line-outage l:start:dur,...]
-//                      [--bg-shock bus:start:dur:mult,...]
-//                      [--congestion-spike l:start:dur:factor,...]
-//   billcap serve      [simulate config/fault flags except --crash-at,
-//                       --crash-rate, --exit-storm, --corrupt-checkpoint-at]
-//                      [--flash-crowds start:dur:mult,...]
-//                      [--feed-bursts start:dur:updates,...]
-//                      [--ticks-per-hour T] [--hours H]
-//                      [--premium-queue-ticks Q] [--ordinary-queue-ticks Q]
-//                      [--feed-queue N] [--feed-drain N] [--stale-ticks N]
-//                      [--breaker-trip N] [--breaker-cooldown N]
-//                      [--replan-nodes N] [--replan-deadline-ms X]
-//                      [--kill-at-ticks t,...] [--die-on-kill]
-//                      [--checkpoint path] [--resume]
-//                      [--keep-generations K] [--csv path]
-//                      [--standby [--standby-hours N]]
-//   billcap supervise  --checkpoint path [--serve] [child flags...]
-//                      [--restart-budget N] [--restart-window-s S]
-//                      [--backoff-ms B] [--backoff-multiplier M]
-//                      [--backoff-max-ms X] [--backoff-jitter J]
-//                      [--escalate-after N] [--standby-hours H]
-//                      [--keep-generations K]
-//   billcap sweep      [--budgets a,b,c] [--policy 0..3] [--seed N]
-//   billcap opf        [--load MW]
-//   billcap trace      [--seed N]
-//   billcap help
-//
-// Every command prints human-readable tables; `simulate --csv` dumps the
-// hourly records for plotting.
-//
-// Exit codes:
-//   0  success
-//   1  runtime error (I/O failure, no viable checkpoint, internal error)
-//   2  usage error (unknown command or flag, unparseable or out-of-range
-//      flag value)
-//   3  unrecoverable degradation (the premium QoS guarantee was broken)
-//   4  graceful stop (SIGTERM/SIGINT, or a standby attempt's chunk done)
-//   5  the supervisor gave up (restart budget exhausted)
+// The commands, their flags and the exit codes are documented once, in
+// cmd_help() (`billcap help`). Each command accepts exactly the flags in
+// its k*Flags tables below; tools.cli_help_flags (tools/CMakeLists.txt)
+// fails when a table names a flag the help text does not.
 
 #include <cmath>
 #include <csignal>

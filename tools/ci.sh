@@ -29,10 +29,11 @@ cmake --build "$ROOT/$PREFIX" -j "$JOBS"
 ctest --test-dir "$ROOT/$PREFIX" --output-on-failure -j "$JOBS"
 
 echo "== bench: solver engine comparison (BENCH_solver.json) =="
-# The custom main in tab_solver_time runs the month-long cold/warm engine
-# differential (verifying equal objectives) and writes BENCH_solver.json;
-# the empty filter skips the google-benchmark micro benches. The JSON is
-# archived at the repo root so DESIGN.md/README numbers stay auditable.
+# The custom main in tab_solver_time runs the month-long engine
+# comparison (reference, arena and segment allocator, verifying equal
+# objectives) and writes BENCH_solver.json with its host; the empty filter
+# skips the google-benchmark micro benches. The JSON is archived at the
+# repo root so DESIGN.md/README numbers stay auditable.
 cmake --build "$ROOT/$PREFIX" -j "$JOBS" --target tab_solver_time
 (cd "$ROOT/$PREFIX/bench" && ./tab_solver_time --benchmark_filter='^$')
 cp "$ROOT/$PREFIX/bench/BENCH_solver.json" "$ROOT/BENCH_solver.json"
@@ -61,8 +62,8 @@ cp "$ROOT/$PREFIX/bench/BENCH_market.json" "$ROOT/BENCH_market.json"
 
 echo "== tier 2: robustness label under address,undefined sanitizers =="
 # Includes solver_test (the arena-vs-legacy differential harness and the
-# basis/arena property tests), which carries the robustness label so every
-# warm-start code path runs under ASan + UBSan here.
+# basis/arena property tests), which carries the robustness label so the
+# branch-and-bound warm re-solves run under ASan + UBSan here.
 cmake -B "$ROOT/$PREFIX-asan" -S "$ROOT" \
   -DBILLCAP_SANITIZE=address,undefined >/dev/null
 cmake --build "$ROOT/$PREFIX-asan" -j "$JOBS"
